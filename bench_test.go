@@ -661,35 +661,6 @@ func BenchmarkRuleMatch(b *testing.B) {
 	b.ReportMetric(100*float64(hits)/float64(b.N), "hit-%")
 }
 
-// BenchmarkSimScheduler measures the netsim event loop in steady state:
-// each iteration schedules four events at staggered future times and
-// drains them — the schedule/dispatch cycle every simulated packet pays
-// per hop. allocs/op is the headline number: the scheduler must not
-// allocate once warm.
-func BenchmarkSimScheduler(b *testing.B) {
-	s := netsim.NewSim()
-	n := 0
-	fn := func() { n++ }
-	// Warm the internal storage.
-	for i := 0; i < 1024; i++ {
-		s.After(float64(i)*1e-6, fn)
-	}
-	s.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at := s.Now()
-		s.At(at+3e-6, fn)
-		s.At(at+1e-6, fn)
-		s.At(at+2e-6, fn)
-		s.At(at+1e-6, fn)
-		s.Run()
-	}
-	if n == 0 {
-		b.Fatal("no events ran")
-	}
-}
-
 // BenchmarkDetectorObserve measures the defender's hot path: one
 // controller-path observation through the streaming detector (window
 // ring-bucket rotation, gap EWMA/Welford update, log-bucket sketch
@@ -829,14 +800,13 @@ func newFleetBenchSetup(b *testing.B) *fleetBenchSetup {
 
 // BenchmarkShardedSim1k drives one echo round (64 cross-pod packets,
 // ~14 events each) through the 1125-switch fat-tree and reports
-// events/sec. Sub-benchmarks compare the sharded fleet engine at 1 and 8
-// shards against the legacy per-closure serial engine on the identical
-// topology and workload — the fleet engine's compiled routes and pooled
-// event records are where the fleet-scale speedup comes from; on a
-// multi-core host the 8-shard variant additionally spreads the window
-// drains over the worker pool (see EXPERIMENTS.md §16 for the
-// single-core caveat). allocs/op for the fleet variants is the headline:
-// 0 in steady state, enforced by the alloc-gate.
+// events/sec, at 1 and 8 shards on the identical topology and workload.
+// The single-shard drain is the serial event loop every netsim harness
+// runs (the sched-gate holds it to its recorded speed); on a multi-core
+// host the 8-shard variant additionally spreads the window drains over
+// the worker pool (see EXPERIMENTS.md §16 for the single-core caveat).
+// allocs/op is the headline: 0 in steady state, enforced by the
+// alloc-gate.
 func BenchmarkShardedSim1k(b *testing.B) {
 	s := newFleetBenchSetup(b)
 	round := func(send func(src, dst string, at float64), now float64) {
@@ -892,36 +862,6 @@ func BenchmarkShardedSim1k(b *testing.B) {
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 		})
 	}
-	b.Run("legacy-serial", func(b *testing.B) {
-		sim := netsim.NewSim()
-		n := netsim.NewNetwork(sim, s.universe, netsim.NewControllerModel(s.policy, controller.Options{}), netsim.DefaultLatencyModel(), stats.NewRNG(7))
-		if err := s.topo.Build(n, 16, 0.1); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < fleetBenchHosts; i++ {
-			if err := n.AddHost(s.hostName[i], s.hostIP[i], s.hostSw[i]); err != nil {
-				b.Fatal(err)
-			}
-			if err := n.SetReactive(s.hostSw[i], true); err != nil {
-				b.Fatal(err)
-			}
-		}
-		send := func(src, dst string, at float64) {
-			if _, err := n.SendEcho(src, dst, at); err != nil {
-				b.Fatal(err)
-			}
-		}
-		round(send, 0)
-		sim.Run()
-		b.ReportAllocs()
-		b.ResetTimer()
-		events := 0
-		for i := 0; i < b.N; i++ {
-			round(send, sim.Now())
-			events += sim.Run()
-		}
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-	})
 }
 
 // BenchmarkIngestPcap measures the full ingestion pipeline on an

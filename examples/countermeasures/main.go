@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"flowrecon/internal/controller"
 	"flowrecon/internal/flows"
@@ -36,10 +37,11 @@ func run() error {
 		extraHitDelay float64
 		opts          controller.Options
 		note          string
+		wantAcc       float64 // the accuracy the defense should leave the attacker
 	}{
-		{"no defense", 0, controller.Options{}, "side channel wide open"},
-		{"adding delays (2 ms)", 2e-3, controller.Options{}, "per-packet latency cost on every flow"},
-		{"proactive rules", 0, controller.Options{Proactive: true}, "needs table capacity for the full policy"},
+		{"no defense", 0, controller.Options{}, "side channel wide open", 1},
+		{"adding delays (2 ms)", 2e-3, controller.Options{}, "per-packet latency cost on every flow", 0.5},
+		{"proactive rules", 0, controller.Options{Proactive: true}, "needs table capacity for the full policy", 0.5},
 	}
 
 	fmt.Println("§VII-B countermeasures against the flow-reconnaissance probe")
@@ -61,9 +63,16 @@ func run() error {
 		ctrl := netsim.NewControllerModel(policy, d.opts)
 		ctrl.ExtraHitDelay = d.extraHitDelay
 
-		sim := netsim.NewSim()
-		net := netsim.NewNetwork(sim, universe, ctrl, netsim.DefaultLatencyModel(), stats.NewRNG(5))
-		if err := netsim.StanfordBackbone().Build(net, 9, 0.1); err != nil {
+		net, err := netsim.NewFleet(netsim.FleetConfig{
+			Topo:     netsim.StanfordBackbone(),
+			Capacity: 9,
+			StepSec:  0.1,
+			Ctrl:     ctrl,
+			Universe: universe,
+			Shards:   1,
+			Seed:     5,
+		})
+		if err != nil {
 			return err
 		}
 		setup, err := netsim.AttachEvaluationHosts(net, base, nhosts, "yoza_rtr", "boza_rtr")
@@ -88,8 +97,8 @@ func run() error {
 				return err
 			}
 			at += 5 // let rules expire between trials
-			sim.RunUntil(at)
-			detected := probe.RTT < 1e-3 // hit ⇒ the victim's rule was cached
+			net.RunUntil(at)
+			detected := net.Echo(probe).RTT < 1e-3 // hit ⇒ the victim's rule was cached
 			if occurred && detected {
 				tp++
 			}
@@ -97,10 +106,14 @@ func run() error {
 				fp++
 			}
 		}
+		net.Close()
 		det := float64(tp) / float64(occ)
 		fpr := float64(fp) / float64(trials-occ)
 		acc := (float64(tp) + float64(trials-occ-fp)) / float64(trials)
 		fmt.Printf("%-22s %14.2f %14.2f %9.1f%%   %s\n", d.name, det, fpr, 100*acc, d.note)
+		if math.Abs(acc-d.wantAcc) > 0.1 {
+			return fmt.Errorf("%s: attacker accuracy %.1f%%, want ≈%.0f%%", d.name, 100*acc, 100*d.wantAcc)
+		}
 	}
 	fmt.Println("\nan effective defense drives accuracy toward 50% (guessing)")
 	return nil

@@ -9,7 +9,6 @@ import (
 	"flowrecon/internal/controller"
 	"flowrecon/internal/core"
 	"flowrecon/internal/detect"
-	"flowrecon/internal/flows"
 	"flowrecon/internal/flowtable"
 	"flowrecon/internal/netsim"
 	"flowrecon/internal/rules"
@@ -307,36 +306,22 @@ func StealthTradeoff(nc *NetworkConfig, cfg detect.Config, meas Measurement, tri
 // probes-until-flagged latency through real (simulated) switch, link and
 // controller delays rather than the abstract table model.
 func MeasureSimDetection(seed int64, intervalSec float64, maxProbes int) (DetectionOutcome, error) {
+	return measureSimDetection(seed, intervalSec, maxProbes, simShards)
+}
+
+func measureSimDetection(seed int64, intervalSec float64, maxProbes, shards int) (DetectionOutcome, error) {
 	const (
 		numFlows   = 16
 		benignRate = 0.4
 		warmup     = 20.0
 	)
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), numFlows)
 	rs, err := rules.Generate(rules.DefaultGenerateConfig(0.1), stats.NewRNG(seed))
 	if err != nil {
 		return DetectionOutcome{}, err
 	}
-	sim := netsim.NewSim()
-	n := netsim.NewNetwork(sim, universe, netsim.NewControllerModel(rs, controller.Options{ProcessingDelay: time.Millisecond}), netsim.DefaultLatencyModel(), stats.NewRNG(seed+1))
-	if err := netsim.StanfordBackbone().Build(n, 9, 0.1); err != nil {
-		return DetectionOutcome{}, err
-	}
-	setup, err := netsim.AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), numFlows, "yoza_rtr", "boza_rtr")
+	probeFlow, err := firstCovered(rs, numFlows)
 	if err != nil {
 		return DetectionOutcome{}, err
-	}
-	covered := rs.CoveredFlows()
-	probeFlow := flows.ID(0)
-	found := false
-	for f := 0; f < numFlows; f++ {
-		if covered.Contains(flows.ID(f)) {
-			probeFlow, found = flows.ID(f), true
-			break
-		}
-	}
-	if !found {
-		return DetectionOutcome{}, fmt.Errorf("experiment: policy covers no evaluation flow")
 	}
 
 	rates := make([]float64, numFlows)
@@ -347,23 +332,27 @@ func MeasureSimDetection(seed int64, intervalSec float64, maxProbes int) (Detect
 	cfg.Baseline.Rates = rates
 	cfg.Baseline.DefaultRate = benignRate
 	det := detect.New(cfg)
-	n.SetDetector(det)
+	f, setup, err := backboneFleet(rs, controller.Options{ProcessingDelay: time.Millisecond}, numFlows, seed+1, shards, det)
+	if err != nil {
+		return DetectionOutcome{}, err
+	}
+	defer f.Close()
 
 	duration := warmup + float64(maxProbes)*intervalSec + 5
 	trace, err := workload.GeneratePoisson(workload.PoissonConfig{Rates: rates, Duration: duration}, stats.NewRNG(seed+2))
 	if err != nil {
 		return DetectionOutcome{}, err
 	}
-	if err := netsim.ReplayTrace(n, setup, trace, 0); err != nil {
+	if err := netsim.ReplayTrace(f, setup, trace, 0); err != nil {
 		return DetectionOutcome{}, err
 	}
-	sim.RunUntil(warmup)
+	f.RunUntil(warmup)
 
-	prober := netsim.NewProber(n, setup)
+	prober := netsim.NewFleetProber(f)
 	var out DetectionOutcome
 	at := warmup
 	for p := 0; p < maxProbes; p++ {
-		if _, err := prober.Probe(probeFlow, at); err != nil {
+		if _, err := prober.Probe(setup.SourceHosts[probeFlow], setup.Destination, at); err != nil {
 			return out, err
 		}
 		out.Probes++

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"flowrecon/internal/core"
@@ -383,5 +384,41 @@ func TestMatchedBaselineTamesParetoFPR(t *testing.T) {
 	}
 	if rate := matchedFPR.Rate(); rate > 0.02 {
 		t.Fatalf("matched-baseline Pareto FPR %.2f%% exceeds the 2%% budget", 100*rate)
+	}
+}
+
+// TestSimMeasurementsShardInvariant pins the backbone fleet's
+// determinism contract at the harness level: the netsim latency table
+// and the netsim detection row come out identical whether the backbone
+// runs at one shard (what the harnesses use) or four.
+func TestSimMeasurementsShardInvariant(t *testing.T) {
+	lat1, err := measureSimLatency(60, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat4, err := measureSimLatency(60, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat1.SimHitMs.N == 0 || lat1.SimMissMs.N == 0 {
+		t.Fatalf("latency run measured nothing: %+v", lat1)
+	}
+	if !reflect.DeepEqual(lat1, lat4) {
+		t.Fatalf("latency differs across shard counts:\n1: %+v\n4: %+v", lat1, lat4)
+	}
+
+	det1, err := measureSimDetection(105, 0.4, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det4, err := measureSimDetection(105, 0.4, 200, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !det1.Flagged {
+		t.Fatalf("netsim detection did not flag: %+v", det1)
+	}
+	if det1 != det4 {
+		t.Fatalf("detection differs across shard counts: %+v vs %+v", det1, det4)
 	}
 }

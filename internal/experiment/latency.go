@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"flowrecon/internal/controller"
+	"flowrecon/internal/detect"
 	"flowrecon/internal/flows"
 	"flowrecon/internal/netsim"
 	"flowrecon/internal/openflow"
@@ -32,58 +33,93 @@ type LatencyReport struct {
 	OFMisclassified float64
 }
 
+// simShards is the shard count of the backbone fleet behind the netsim
+// measurements. The 16-switch backbone is too small for sharding to pay,
+// and the fleet's results are identical at any shard count
+// (TestSimMeasurementsShardInvariant).
+const simShards = 1
+
+// backboneFleet builds the §VI-A evaluation fabric: the Stanford-like
+// backbone with 9-entry tables and 0.1 s steps, nhosts source hosts and
+// the attacker on the reactive ingress yoza_rtr, the server on boza_rtr.
+// The caller closes the fleet.
+func backboneFleet(policy *rules.Set, opts controller.Options, nhosts int, seed int64, shards int, det *detect.Detector) (*netsim.Fleet, netsim.EvaluationSetup, error) {
+	base := flows.MakeIPv4(10, 0, 1, 0)
+	f, err := netsim.NewFleet(netsim.FleetConfig{
+		Topo:     netsim.StanfordBackbone(),
+		Capacity: 9,
+		StepSec:  0.1,
+		Ctrl:     netsim.NewControllerModel(policy, opts),
+		Universe: flows.ClientServerUniverse(base, nhosts),
+		Shards:   shards,
+		Seed:     seed,
+		Detector: det,
+	})
+	if err != nil {
+		return nil, netsim.EvaluationSetup{}, err
+	}
+	setup, err := netsim.AttachEvaluationHosts(f, base, nhosts, "yoza_rtr", "boza_rtr")
+	if err != nil {
+		f.Close()
+		return nil, netsim.EvaluationSetup{}, err
+	}
+	return f, setup, nil
+}
+
+// firstCovered returns the lowest of the first n flows the policy covers
+// reactively.
+func firstCovered(rs *rules.Set, n int) (flows.ID, error) {
+	covered := rs.CoveredFlows()
+	for f := 0; f < n; f++ {
+		if covered.Contains(flows.ID(f)) {
+			return flows.ID(f), nil
+		}
+	}
+	return 0, fmt.Errorf("experiment: policy covers no evaluation flow")
+}
+
 // MeasureSimLatency measures echo RTTs through the simulated fabric:
 // each round sends one cold (miss) probe and one warm (hit) probe, with
 // rules allowed to expire between rounds.
 func MeasureSimLatency(samples int, seed int64) (*LatencyReport, error) {
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 16)
+	return measureSimLatency(samples, seed, simShards)
+}
+
+func measureSimLatency(samples int, seed int64, shards int) (*LatencyReport, error) {
 	rs, err := rules.Generate(rules.DefaultGenerateConfig(0.1), stats.NewRNG(seed))
 	if err != nil {
 		return nil, err
 	}
-	sim := netsim.NewSim()
-	ctrl := netsim.NewControllerModel(rs, controller.Options{})
-	n := netsim.NewNetwork(sim, universe, ctrl, netsim.DefaultLatencyModel(), stats.NewRNG(seed+1))
-	if err := netsim.StanfordBackbone().Build(n, 9, 0.1); err != nil {
-		return nil, err
-	}
-	setup, err := netsim.AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 16, "yoza_rtr", "boza_rtr")
+	flow, err := firstCovered(rs, 16)
 	if err != nil {
 		return nil, err
 	}
-	// Use a flow every rule set covers reactively; fall back across
-	// hosts until one is covered.
-	covered := rs.CoveredFlows()
-	hostIdx := 0
-	for ; hostIdx < 16; hostIdx++ {
-		if covered.Contains(flows.ID(hostIdx)) {
-			break
-		}
+	f, setup, err := backboneFleet(rs, controller.Options{}, 16, seed+1, shards, nil)
+	if err != nil {
+		return nil, err
 	}
-	if hostIdx == 16 {
-		return nil, fmt.Errorf("experiment: policy covers no evaluation flow")
-	}
-	src := setup.SourceHosts[hostIdx]
+	defer f.Close()
+	src := setup.SourceHosts[flow]
 
 	report := &LatencyReport{ThresholdMs: 1.0}
 	var hits, misses []float64
 	at := 0.0
 	for i := 0; i < samples; i++ {
-		miss, err := n.SendEcho(src, setup.Destination, at)
+		miss, err := f.SendEcho(src, setup.Destination, at)
 		if err != nil {
 			return nil, err
 		}
-		hit, err := n.SendEcho(src, setup.Destination, at+0.05)
+		hit, err := f.SendEcho(src, setup.Destination, at+0.05)
 		if err != nil {
 			return nil, err
 		}
 		at += 5 // beyond the maximum idle timeout (1 s): rules expire
-		sim.RunUntil(at)
-		if miss.Delivered && miss.Missed {
-			misses = append(misses, miss.RTT*1e3)
+		f.RunUntil(at)
+		if st := f.Echo(miss); st.Delivered && st.Missed {
+			misses = append(misses, st.RTT*1e3)
 		}
-		if hit.Delivered && !hit.Missed {
-			hits = append(hits, hit.RTT*1e3)
+		if st := f.Echo(hit); st.Delivered && !st.Missed {
+			hits = append(hits, st.RTT*1e3)
 		}
 	}
 	report.SimHitMs = stats.Summarize(hits)

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flowrecon/internal/stats"
@@ -186,5 +188,51 @@ func TestPerTrialForcesSerial(t *testing.T) {
 		if r.Trial != i {
 			t.Fatalf("record %d has trial index %d", i, r.Trial)
 		}
+	}
+}
+
+// TestPerTrialRecordsCarryNoRingCopy: a per-trial record is a snapshot of
+// the instruments, not of the trace ring. With a ring copy in every
+// record the records' total size grew with the square of the trial
+// count; without it each record's size is bounded by the instrument set.
+func TestPerTrialRecordsCarryNoRingCopy(t *testing.T) {
+	spec := RecordingSpec{
+		Params:      tinyParams(),
+		ConfigSeed:  11,
+		TrialSeed:   13,
+		Trials:      12,
+		Probes:      1,
+		Measurement: DefaultMeasurement(),
+	}
+	nc, err := spec.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	attackers, err := StandardAttackers(nc, spec.Probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry(1 << 14)
+	_, records, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
+		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, PerTrial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Tracer().Total() == 0 {
+		t.Fatal("the trial tables emitted no trace events; the test proves nothing")
+	}
+	var sizes []int
+	for _, r := range records {
+		blob, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(blob), `"events"`) {
+			t.Fatalf("trial %d record carries the trace ring: %.200s", r.Trial, blob)
+		}
+		sizes = append(sizes, len(blob))
+	}
+	if first, last := sizes[0], sizes[len(sizes)-1]; last > 2*first {
+		t.Fatalf("record size grew from %d B (trial 0) to %d B (trial %d)", first, last, len(sizes)-1)
 	}
 }

@@ -159,8 +159,7 @@ type Stream struct {
 }
 
 // SetTelemetry attaches fault counters, labelled by the injection layer
-// ("netsim", "openflow", "controller", "experiment"). Safe on nil stream
-// and nil registry.
+// ("controller", "experiment"). Safe on nil stream and nil registry.
 func (s *Stream) SetTelemetry(reg *telemetry.Registry, layer string) {
 	if s == nil {
 		return

@@ -70,7 +70,7 @@ func TestTableTelemetryMatchesStats(t *testing.T) {
 
 	// One trace event per install/evict/expire.
 	kinds := map[string]int64{}
-	for _, e := range snap.Events {
+	for _, e := range reg.Tracer().Events() {
 		kinds[e.Kind]++
 	}
 	if kinds["rule.install"] != st.Installs {

@@ -2,26 +2,28 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 
-	"flowrecon/internal/flows"
 	"flowrecon/internal/workload"
 )
 
 // This file drives the paper's attack through the simulated network: the
 // background hosts replay a traffic trace as echo exchanges, and the
-// attacker injects forged-source probes and classifies their RTTs with
-// the 1 ms threshold — exactly the §VI-A procedure, but in virtual time.
+// attacker injects forged-source probes (FleetProber) and classifies
+// their RTTs with the 1 ms threshold — exactly the §VI-A procedure, but
+// in virtual time. The paper's attacker spoofs a source host's address
+// and listens for the reply on the shared switch port; in the simulator
+// this is equivalent to sending from that host, since only the ingress
+// flow table sees the source.
 
 // ReplayTrace schedules every arrival of trace as an echo from its source
 // host to the destination, offset seconds into the simulation. Flow IDs
 // index setup.SourceHosts.
-func ReplayTrace(n *Network, setup EvaluationSetup, trace *workload.Trace, offset float64) error {
+func ReplayTrace(f *Fleet, setup EvaluationSetup, trace *workload.Trace, offset float64) error {
 	for _, a := range trace.Arrivals() {
 		if int(a.Flow) >= len(setup.SourceHosts) {
 			return fmt.Errorf("netsim: trace flow %d outside the %d evaluation hosts", a.Flow, len(setup.SourceHosts))
 		}
-		if _, err := n.SendEcho(setup.SourceHosts[a.Flow], setup.Destination, offset+a.Time); err != nil {
+		if _, err := f.SendEcho(setup.SourceHosts[a.Flow], setup.Destination, offset+a.Time); err != nil {
 			return err
 		}
 	}
@@ -41,50 +43,4 @@ type ProbeResult struct {
 	// carries no timing observation: threshold attackers treat it as a
 	// miss, model attackers as an explicit no-observation step.
 	Lost bool
-}
-
-// Prober issues forged-source probes from the attacker host. The paper's
-// attacker spoofs a source host's address and listens for the reply on
-// the shared switch port; in the simulator this is equivalent to sending
-// from that host, since only the ingress flow table sees the source.
-type Prober struct {
-	net         *Network
-	setup       EvaluationSetup
-	ThresholdMs float64
-}
-
-// NewProber returns a prober with the paper's 1 ms threshold.
-func NewProber(n *Network, setup EvaluationSetup) *Prober {
-	return &Prober{net: n, setup: setup, ThresholdMs: 1.0}
-}
-
-// Probe forges flow f at virtual time at, runs the simulation until the
-// reply returns, and classifies the delay. The simulation clock advances.
-func (p *Prober) Probe(f flows.ID, at float64) (ProbeResult, error) {
-	if int(f) >= len(p.setup.SourceHosts) {
-		return ProbeResult{}, fmt.Errorf("netsim: probe flow %d outside the evaluation hosts", f)
-	}
-	echo, err := p.net.SendEcho(p.setup.SourceHosts[f], p.setup.Destination, at)
-	if err != nil {
-		return ProbeResult{}, err
-	}
-	// Run until the reply lands (generously past the worst-case miss).
-	deadline := at + 1.0
-	for !echo.Delivered && p.net.sim.Now() < deadline {
-		if p.net.sim.Pending() == 0 {
-			break
-		}
-		p.net.sim.RunUntil(math.Min(deadline, p.net.sim.Now()+0.01))
-	}
-	if !echo.Delivered {
-		if p.net.FaultsEnabled() {
-			// Under fault injection an undelivered probe is an expected
-			// outcome, not a wedged simulation: classify it as lost and
-			// let the attacker make its no-observation update.
-			return ProbeResult{RTTms: math.NaN(), Lost: true}, nil
-		}
-		return ProbeResult{}, fmt.Errorf("netsim: probe reply not delivered by %v", deadline)
-	}
-	rtt := echo.RTT * 1e3
-	return ProbeResult{RTTms: rtt, Hit: rtt < p.ThresholdMs}, nil
 }

@@ -11,7 +11,7 @@ import (
 	"flowrecon/internal/workload"
 )
 
-func attackPolicy(t *testing.T) *rules.Set {
+func attackPolicy(t testing.TB) *rules.Set {
 	t.Helper()
 	rs, err := rules.NewSet([]rules.Rule{
 		{Name: "r0", Cover: flows.SetOf(0, 1), Priority: 3, Timeout: 10},
@@ -24,18 +24,20 @@ func attackPolicy(t *testing.T) *rules.Set {
 	return rs
 }
 
+// attackFleet is the evaluation fabric under attackPolicy with the
+// attack tests' capacity of 3.
+func attackFleet(t testing.TB, cfg FleetConfig) (*Fleet, EvaluationSetup) {
+	t.Helper()
+	if cfg.Ctrl.App == nil {
+		cfg.Ctrl.App = controller.New(attackPolicy(t), controller.Options{})
+	}
+	cfg.Capacity = 3
+	return evalFleet(t, cfg)
+}
+
 func TestReplayTraceAndProbe(t *testing.T) {
 	rs := attackPolicy(t)
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
-	sim := NewSim()
-	n := NewNetwork(sim, universe, NewControllerModel(rs, controller.Options{}), DefaultLatencyModel(), stats.NewRNG(3))
-	if err := StanfordBackbone().Build(n, 3, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	setup, err := AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 4, "yoza_rtr", "boza_rtr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, setup := attackFleet(t, FleetConfig{Seed: 3, Ctrl: NewControllerModel(rs, controller.Options{})})
 	trace, err := workload.GeneratePoisson(workload.PoissonConfig{
 		Rates:    []float64{0.8, 0.5, 0.3, 0.6},
 		Duration: 5,
@@ -43,58 +45,41 @@ func TestReplayTraceAndProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayTrace(n, setup, trace, 0); err != nil {
+	if err := ReplayTrace(f, setup, trace, 0); err != nil {
 		t.Fatal(err)
 	}
-	sim.RunUntil(5)
+	f.RunUntil(5)
+	if f.Packets() != len(trace.Arrivals()) {
+		t.Fatalf("replayed %d echoes for %d arrivals", f.Packets(), len(trace.Arrivals()))
+	}
 
-	prober := NewProber(n, setup)
-	res, err := prober.Probe(0, 5)
+	res, err := NewFleetProber(f).Probe(setup.SourceHosts[0], setup.Destination, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.RTTms <= 0 {
 		t.Fatalf("probe RTT = %v", res.RTTms)
 	}
-
-	// Ground truth from the ingress switch table itself.
-	ingress := n.Switch(setup.Ingress).Table
-	_, want := rs.MatchIn(0, func(j int) bool { return ingress.Contains(j, 5) })
-	// The probe itself installs on a miss, so check BEFORE interpreting —
-	// we captured `want` before the probe ran the lookup... the probe has
-	// already run; but Contains at time 5 with idle refresh from the
-	// probe keeps hit-consistency: a hit implies it was cached.
-	if res.Hit && !want {
-		// A hit probe can only refresh an existing rule, never create
-		// one, so a hit with no covering rule cached is a bug.
+	// Ground truth from the ingress switch table itself. A hit probe can
+	// only refresh an existing rule, never create one, so a hit with no
+	// covering rule cached is a bug.
+	ingress := f.Table(setup.Ingress)
+	if _, cached := rs.MatchIn(0, func(j int) bool { return ingress.Contains(j, 5) }); res.Hit && !cached {
 		t.Fatalf("probe hit but no covering rule cached")
 	}
 }
 
 func TestReplayTraceValidatesFlows(t *testing.T) {
-	rs := attackPolicy(t)
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
-	sim := NewSim()
-	n := NewNetwork(sim, universe, NewControllerModel(rs, controller.Options{}), DefaultLatencyModel(), stats.NewRNG(3))
-	if err := StanfordBackbone().Build(n, 3, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	setup, err := AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 4, "yoza_rtr", "boza_rtr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := &workload.Trace{}
-	_ = bad
+	f, setup := attackFleet(t, FleetConfig{Seed: 3})
 	tr, err := workload.GeneratePoisson(workload.PoissonConfig{Rates: []float64{0, 0, 0, 0, 0, 0, 0, 0, 0, 5}, Duration: 1}, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayTrace(n, setup, tr, 0); err == nil {
+	if err := ReplayTrace(f, setup, tr, 0); err == nil {
 		t.Fatal("out-of-range trace flow accepted")
 	}
-	prober := NewProber(n, setup)
-	if _, err := prober.Probe(99, 0); err == nil {
-		t.Fatal("out-of-range probe accepted")
+	if _, err := NewFleetProber(f).Probe("h99", setup.Destination, 0); err == nil {
+		t.Fatal("probe from an unknown host accepted")
 	}
 }
 
@@ -105,7 +90,6 @@ func TestReplayTraceValidatesFlows(t *testing.T) {
 // come from the µs-scale forwarding offsets the simulator adds.
 func TestNetsimAgreesWithFlowtableReplay(t *testing.T) {
 	rs := attackPolicy(t)
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
 	rates := []float64{0.8, 0.5, 0.3, 0.6}
 	const (
 		window = 5.0
@@ -121,20 +105,12 @@ func TestNetsimAgreesWithFlowtableReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Path A: full network simulation.
-		sim := NewSim()
-		n := NewNetwork(sim, universe, NewControllerModel(rs, controller.Options{}), DefaultLatencyModel(), stats.NewRNG(3))
-		if err := StanfordBackbone().Build(n, cap, stepS); err != nil {
+		f, setup := attackFleet(t, FleetConfig{Seed: 3, Ctrl: NewControllerModel(rs, controller.Options{}), StepSec: stepS})
+		if err := ReplayTrace(f, setup, trace, 0); err != nil {
 			t.Fatal(err)
 		}
-		setup, err := AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 4, "yoza_rtr", "boza_rtr")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ReplayTrace(n, setup, trace, 0); err != nil {
-			t.Fatal(err)
-		}
-		sim.RunUntil(window)
-		res, err := NewProber(n, setup).Probe(0, window)
+		f.RunUntil(window)
+		res, err := NewFleetProber(f).Probe(setup.SourceHosts[0], setup.Destination, window)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,56 +3,40 @@ package netsim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"flowrecon/internal/controller"
 	"flowrecon/internal/faults"
-	"flowrecon/internal/flows"
-	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
 )
 
-// faultFabric builds the standard evaluation fabric with the given
-// network seed.
-func faultFabric(t *testing.T, seed int64) (*Network, *Sim, EvaluationSetup) {
+// faultProbe sends one probe of flow 0 at t=0 through a fresh attack
+// fabric (fleet seed 3) under the given fault profile.
+func faultProbe(t *testing.T, prof faults.Profile) (ProbeResult, *Fleet) {
 	t.Helper()
-	rs := attackPolicy(t)
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
-	sim := NewSim()
-	n := NewNetwork(sim, universe, NewControllerModel(rs, controller.Options{}), DefaultLatencyModel(), stats.NewRNG(seed))
-	if err := StanfordBackbone().Build(n, 3, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	setup, err := AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 4, "yoza_rtr", "boza_rtr")
+	f, setup := attackFleet(t, FleetConfig{Seed: 3, Faults: prof})
+	res, err := NewFleetProber(f).Probe(setup.SourceHosts[0], setup.Destination, 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("probe under %+v: %v", prof, err)
 	}
-	return n, sim, setup
+	return res, f
 }
 
 // TestFaultLossClassifiesProbeLost: at LossProb 1 every probe is lost,
 // yields an explicit Lost result instead of an error, and installs
 // nothing (drop happens before the ingress lookup).
 func TestFaultLossClassifiesProbeLost(t *testing.T) {
-	n, _, setup := faultFabric(t, 3)
-	n.SetFaults(faults.Profile{Seed: 1, LossProb: 1})
-	if !n.FaultsEnabled() {
-		t.Fatal("faults not enabled")
-	}
-	prober := NewProber(n, setup)
-	res, err := prober.Probe(0, 0)
-	if err != nil {
-		t.Fatalf("lost probe must not error: %v", err)
-	}
+	res, f := faultProbe(t, faults.Profile{Seed: 1, LossProb: 1})
 	if !res.Lost || res.Hit {
 		t.Fatalf("want Lost miss, got %+v", res)
 	}
 	if !math.IsNaN(res.RTTms) {
 		t.Fatalf("lost probe carries an RTT: %v", res.RTTms)
 	}
-	if n.Switch(setup.Ingress).Table.Contains(0, 1) {
+	if f.Table("yoza_rtr").Contains(0, 1) {
 		t.Fatal("dropped probe installed a rule")
 	}
-	if n.PacketIns != 0 {
+	if packetIns(f) != 0 {
 		t.Fatal("dropped probe consulted the controller")
 	}
 }
@@ -60,18 +44,8 @@ func TestFaultLossClassifiesProbeLost(t *testing.T) {
 // TestFaultJitterDelaysButDelivers: pure jitter never loses a probe and
 // inflates the RTT.
 func TestFaultJitterDelaysButDelivers(t *testing.T) {
-	clean, _, setupC := faultFabric(t, 3)
-	jitter, _, setupJ := faultFabric(t, 3)
-	jitter.SetFaults(faults.Profile{Seed: 2, JitterMeanMs: 1})
-
-	rc, err := NewProber(clean, setupC).Probe(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rj, err := NewProber(jitter, setupJ).Probe(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc, _ := faultProbe(t, faults.Profile{})
+	rj, _ := faultProbe(t, faults.Profile{Seed: 2, JitterMeanMs: 1})
 	if rj.Lost {
 		t.Fatal("jitter-only profile lost a probe")
 	}
@@ -80,23 +54,22 @@ func TestFaultJitterDelaysButDelivers(t *testing.T) {
 	}
 }
 
-// TestFaultDeterminism: the same (network seed, fault seed) pair gives
-// the identical probe outcome sequence; changing only the fault seed
-// changes it.
+// TestFaultDeterminism: the same (fleet seed, fault seed) pair gives the
+// identical probe outcome sequence; changing only the fault seed changes
+// it.
 func TestFaultDeterminism(t *testing.T) {
 	run := func(faultSeed int64) []ProbeResult {
-		n, _, setup := faultFabric(t, 3)
-		n.SetFaults(faults.Profile{Seed: faultSeed, LossProb: 0.3, JitterMeanMs: 0.5})
-		prober := NewProber(n, setup)
+		f, setup := attackFleet(t, FleetConfig{Seed: 3, Faults: faults.Profile{Seed: faultSeed, LossProb: 0.3, JitterMeanMs: 0.5}})
+		prober := NewFleetProber(f)
 		out := make([]ProbeResult, 20)
 		at := 0.0
 		for i := range out {
-			res, err := prober.Probe(flows.ID(i%4), at)
+			res, err := prober.Probe(setup.SourceHosts[i%4], setup.Destination, at)
 			if err != nil {
 				t.Fatal(err)
 			}
 			out[i] = res
-			at = n.sim.Now() + 0.05
+			at = f.Now() + 0.05
 		}
 		return out
 	}
@@ -125,39 +98,42 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultTelemetryCounters: drops surface in the faults_* series.
+// TestFaultTelemetryCounters: drops surface in the fleet's drop counter.
 func TestFaultTelemetryCounters(t *testing.T) {
-	n, _, setup := faultFabric(t, 3)
 	reg := telemetry.NewRegistry(0)
-	n.SetTelemetry(reg)
-	n.SetFaults(faults.Profile{Seed: 1, LossProb: 1})
-	if _, err := NewProber(n, setup).Probe(0, 0); err != nil {
+	f, setup := attackFleet(t, FleetConfig{Seed: 3, Faults: faults.Profile{Seed: 1, LossProb: 1}, Registry: reg})
+	if _, err := NewFleetProber(f).Probe(setup.SourceHosts[0], setup.Destination, 0); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[`faults_loss_total{layer="netsim"}`]; got == 0 {
+	if got := reg.Snapshot().Counters["netsim_fleet_drops_total"]; got == 0 {
 		t.Fatal("no loss recorded in telemetry")
 	}
 }
 
-// TestFaultControllerSlowdown: SlowFactor inflates miss RTTs only.
+// TestFaultControllerSlowdown: controller stalls and the slowdown factor
+// inflate miss RTTs.
 func TestFaultControllerSlowdown(t *testing.T) {
-	clean, _, setupC := faultFabric(t, 3)
-	slow, _, setupS := faultFabric(t, 3)
-	slow.SetFaults(faults.Profile{Seed: 5, StallProb: 1, StallMs: 50})
-
-	rc, err := NewProber(clean, setupC).Probe(0, 0) // first probe always misses
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := NewProber(slow, setupS).Probe(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc, _ := faultProbe(t, faults.Profile{}) // first probe always misses
+	rs, _ := faultProbe(t, faults.Profile{Seed: 5, StallProb: 1, StallMs: 50})
 	if rc.Hit || rs.Hit {
 		t.Fatalf("first probes should miss: clean=%+v stalled=%+v", rc, rs)
 	}
 	if rs.RTTms < rc.RTTms+40 {
 		t.Fatalf("stalled miss RTT %.3f not ≈50ms above clean %.3f", rs.RTTms, rc.RTTms)
+	}
+	// SlowFactor scales the decision latency: 10 ms of controller
+	// processing at factor 3 costs 20 ms more.
+	slowProbe := func(prof faults.Profile) ProbeResult {
+		ctrl := NewControllerModel(attackPolicy(t), controller.Options{ProcessingDelay: 10 * time.Millisecond})
+		f, setup := attackFleet(t, FleetConfig{Seed: 3, Ctrl: ctrl, Faults: prof})
+		res, err := NewFleetProber(f).Probe(setup.SourceHosts[0], setup.Destination, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base, slowed := slowProbe(faults.Profile{}), slowProbe(faults.Profile{Seed: 5, SlowFactor: 3})
+	if d := slowed.RTTms - base.RTTms; math.Abs(d-20) > 0.5 {
+		t.Fatalf("slowed miss RTT %.3f is %.3f ms above clean %.3f, want ≈20", slowed.RTTms, d, base.RTTms)
 	}
 }

@@ -10,68 +10,6 @@ import (
 	"flowrecon/internal/stats"
 )
 
-func TestSimOrdering(t *testing.T) {
-	s := NewSim()
-	var order []int
-	s.At(2, func() { order = append(order, 2) })
-	s.At(1, func() { order = append(order, 1) })
-	s.At(1, func() { order = append(order, 10) }) // same time: insertion order
-	s.After(0.5, func() { order = append(order, 0) })
-	if n := s.Run(); n != 4 {
-		t.Fatalf("events = %d", n)
-	}
-	want := []int{0, 1, 10, 2}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v", order)
-		}
-	}
-	if s.Now() != 2 {
-		t.Fatalf("now = %v", s.Now())
-	}
-}
-
-func TestSimNestedScheduling(t *testing.T) {
-	s := NewSim()
-	hits := 0
-	s.At(1, func() {
-		s.After(1, func() { hits++ })
-		s.After(2, func() { hits++ })
-	})
-	s.Run()
-	if hits != 2 || s.Now() != 3 {
-		t.Fatalf("hits=%d now=%v", hits, s.Now())
-	}
-}
-
-func TestSimRunUntil(t *testing.T) {
-	s := NewSim()
-	fired := 0
-	s.At(1, func() { fired++ })
-	s.At(5, func() { fired++ })
-	if n := s.RunUntil(2); n != 1 || fired != 1 {
-		t.Fatalf("n=%d fired=%d", n, fired)
-	}
-	if s.Now() != 2 || s.Pending() != 1 {
-		t.Fatalf("now=%v pending=%d", s.Now(), s.Pending())
-	}
-	s.Run()
-	if fired != 2 {
-		t.Fatal("remaining event lost")
-	}
-}
-
-func TestSimPastSchedulingClamps(t *testing.T) {
-	s := NewSim()
-	s.At(5, func() {
-		s.At(1, func() {}) // in the past: must run at now, not rewind
-	})
-	s.Run()
-	if s.Now() != 5 {
-		t.Fatalf("clock rewound to %v", s.Now())
-	}
-}
-
 func TestStanfordBackboneShape(t *testing.T) {
 	topo := StanfordBackbone()
 	if len(topo.Switches) != 16 {
@@ -82,105 +20,138 @@ func TestStanfordBackboneShape(t *testing.T) {
 	}
 }
 
-// buildEvalNetwork assembles the §VI-A environment on the Stanford-like
-// topology with a small policy.
-func buildEvalNetwork(t *testing.T, ctrl ControllerModel) (*Network, EvaluationSetup, *flows.Universe) {
+// evalPolicy is the default two-rule test policy over four flows.
+func evalPolicy(t testing.TB) *rules.Set {
 	t.Helper()
-	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
-	if ctrl.App == nil {
-		rs, err := rules.NewSet([]rules.Rule{
-			{Name: "r0", Cover: flows.SetOf(0, 1), Priority: 2, Timeout: 10},
-			{Name: "r1", Cover: flows.SetOf(2), Priority: 1, Timeout: 10},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl.App = controller.New(rs, controller.Options{})
-	}
-	sim := NewSim()
-	n := NewNetwork(sim, universe, ctrl, DefaultLatencyModel(), stats.NewRNG(3))
-	if err := StanfordBackbone().Build(n, 6, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	setup, err := AttachEvaluationHosts(n, flows.MakeIPv4(10, 0, 1, 0), 4, "yoza_rtr", "boza_rtr")
+	rs, err := rules.NewSet([]rules.Rule{
+		{Name: "r0", Cover: flows.SetOf(0, 1), Priority: 2, Timeout: 10},
+		{Name: "r1", Cover: flows.SetOf(2), Priority: 1, Timeout: 10},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n, setup, universe
+	return rs
 }
 
-func (n *Network) sim2() *Sim { return n.sim }
-
-func TestNetworkPath(t *testing.T) {
-	n, _, _ := buildEvalNetwork(t, ControllerModel{})
-	path, err := n.Path("yoza_rtr", "boza_rtr")
+// evalFleet assembles the §VI-A environment on the Stanford-like
+// backbone: four source hosts and the attacker on the reactive ingress
+// switch yoza_rtr, the server on boza_rtr. cfg supplies the knobs a test
+// varies (controller, capacity, seed, faults, detector, shards); a nil
+// controller app selects evalPolicy, a zero capacity 6 and a zero step
+// 0.1 s.
+func evalFleet(t testing.TB, cfg FleetConfig) (*Fleet, EvaluationSetup) {
+	t.Helper()
+	base := flows.MakeIPv4(10, 0, 1, 0)
+	cfg.Topo = StanfordBackbone()
+	cfg.Universe = flows.ClientServerUniverse(base, 4)
+	if cfg.Ctrl.App == nil {
+		cfg.Ctrl.App = controller.New(evalPolicy(t), controller.Options{})
+	}
+	if cfg.Capacity == 0 {
+		cfg.Capacity = 6
+	}
+	if cfg.StepSec == 0 {
+		cfg.StepSec = 0.1
+	}
+	f, err := NewFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(f.Close)
+	setup, err := AttachEvaluationHosts(f, base, 4, "yoza_rtr", "boza_rtr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, setup
+}
+
+// packetIns is the controller's consultation count.
+func packetIns(f *Fleet) int64 { return f.cfg.Ctrl.App.Snapshot().PacketIns }
+
+func TestNetworkPath(t *testing.T) {
+	f, _ := evalFleet(t, FleetConfig{Seed: 3})
+	r, err := f.route(f.index["yoza_rtr"], f.index["boza_rtr"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := f.pathSw[f.routeOff[r] : f.routeOff[r]+f.routeLen[r]]
 	if len(path) != 3 {
 		t.Fatalf("path = %v (zone→core→zone expected)", path)
 	}
-	if path[0] != "yoza_rtr" || path[2] != "boza_rtr" {
-		t.Fatalf("path = %v", path)
+	if f.names[path[0]] != "yoza_rtr" || f.names[path[1]] != "bbra_rtr" || f.names[path[2]] != "boza_rtr" {
+		t.Fatalf("path = %v, want yoza→bbra→boza (lowest-ID core first)", path)
 	}
-	if _, err := n.Path("yoza_rtr", "nope"); err == nil {
-		t.Fatal("path to unknown switch succeeded")
-	}
-	self, err := n.Path("yoza_rtr", "yoza_rtr")
-	if err != nil || len(self) != 1 {
-		t.Fatalf("self path = %v, %v", self, err)
+	self, err := f.route(f.index["yoza_rtr"], f.index["yoza_rtr"])
+	if err != nil || f.routeLen[self] != 1 {
+		t.Fatalf("self route len = %d, %v", f.routeLen[self], err)
 	}
 }
 
 func TestNetworkValidation(t *testing.T) {
-	n, _, _ := buildEvalNetwork(t, ControllerModel{})
-	if err := n.AddSwitch("bbra_rtr", 6, 0.1); err == nil {
+	// Unknown-switch hosts and reactive switches, duplicate hosts and
+	// unknown echo sources are TestFleetValidation's; these are the
+	// remaining construction and lookup errors.
+	f, setup := evalFleet(t, FleetConfig{Seed: 3})
+	if _, err := f.SendEcho("h0", "nope", 0); err == nil {
+		t.Fatal("echo to unknown host accepted")
+	}
+	if _, err := NewFleetProber(f).Probe("h0", "nope", 0); err == nil {
+		t.Fatal("probe to unknown host accepted")
+	}
+	// The first echo compiles the fabric: no more hosts or reactive
+	// switches after that.
+	if _, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddHost("late", 9, "coza_rtr"); err == nil {
+		t.Fatal("host added to a running fleet")
+	}
+	if err := f.SetReactive("coza_rtr"); err == nil {
+		t.Fatal("reactive switch added to a running fleet")
+	}
+
+	topo := StanfordBackbone()
+	topo.Switches = append(topo.Switches, "bbra_rtr")
+	ctrl := NewControllerModel(evalPolicy(t), controller.Options{})
+	universe := flows.ClientServerUniverse(flows.MakeIPv4(10, 0, 1, 0), 4)
+	if _, err := NewFleet(FleetConfig{Topo: topo, Ctrl: ctrl, Universe: universe}); err == nil {
 		t.Fatal("duplicate switch accepted")
 	}
-	if err := n.AddHost("h0", 1, "yoza_rtr"); err == nil {
-		t.Fatal("duplicate host accepted")
-	}
-	if err := n.AddHost("hx", 1, "nope"); err == nil {
-		t.Fatal("host on unknown switch accepted")
-	}
-	if err := n.Link("bbra_rtr", "nope"); err == nil {
+	topo = StanfordBackbone()
+	topo.Links = append(topo.Links, Link{A: "bbra_rtr", B: "nope"})
+	if _, err := NewFleet(FleetConfig{Topo: topo, Ctrl: ctrl, Universe: universe}); err == nil {
 		t.Fatal("link to unknown switch accepted")
-	}
-	if _, err := n.SendEcho("nope", "server", 0); err == nil {
-		t.Fatal("echo from unknown host accepted")
-	}
-	if _, err := n.SendEcho("h0", "nope", 0); err == nil {
-		t.Fatal("echo to unknown host accepted")
 	}
 }
 
 func TestEchoMissTheHitRTTGap(t *testing.T) {
-	n, setup, _ := buildEvalNetwork(t, ControllerModel{})
-	first, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
+	f, setup := evalFleet(t, FleetConfig{Seed: 3})
+	first, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, 0.5)
+	second, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.sim2().Run()
-	if !first.Delivered || !second.Delivered {
+	f.Run()
+	a, b := f.Echo(first), f.Echo(second)
+	if !a.Delivered || !b.Delivered {
 		t.Fatal("echo not delivered")
 	}
-	if !first.Missed {
+	if !a.Missed {
 		t.Fatal("first echo should miss everywhere")
 	}
-	if second.Missed {
+	if b.Missed {
 		t.Fatal("second echo should ride the installed rules")
 	}
-	if first.RTT < 1e-3 {
-		t.Fatalf("miss RTT %v suspiciously small", first.RTT)
+	if a.RTT < 1e-3 {
+		t.Fatalf("miss RTT %v suspiciously small", a.RTT)
 	}
-	if second.RTT > 1e-3 {
-		t.Fatalf("hit RTT %v too large (threshold 1ms, §VI-A)", second.RTT)
+	if b.RTT > 1e-3 {
+		t.Fatalf("hit RTT %v too large (threshold 1ms, §VI-A)", b.RTT)
 	}
-	if n.PacketIns == 0 {
+	if packetIns(f) == 0 {
 		t.Fatal("no controller consultations recorded")
 	}
 }
@@ -189,25 +160,26 @@ func TestEchoLatencyCalibration(t *testing.T) {
 	// RTT distributions through the standard path must land near the
 	// paper's measurements: hit ≈ 0.087 ms, miss ≈ 4.07 ms, separable at
 	// 1 ms.
-	n, setup, _ := buildEvalNetwork(t, ControllerModel{})
+	f, setup := evalFleet(t, FleetConfig{Seed: 3})
 	var hitRTT, missRTT []float64
 	at := 0.0
 	for i := 0; i < 400; i++ {
-		miss, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, at)
+		miss, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hit, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, at+0.2)
+		hit, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, at+0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		at += 10 // beyond the 1s max idle timeout: rules expire between rounds
-		n.sim2().RunUntil(at)
-		if !miss.Missed || hit.Missed {
-			t.Fatalf("round %d: miss=%v hit=%v", i, miss.Missed, hit.Missed)
+		f.RunUntil(at)
+		m, h := f.Echo(miss), f.Echo(hit)
+		if !m.Missed || h.Missed {
+			t.Fatalf("round %d: miss=%v hit=%v", i, m.Missed, h.Missed)
 		}
-		missRTT = append(missRTT, miss.RTT*1e3)
-		hitRTT = append(hitRTT, hit.RTT*1e3)
+		missRTT = append(missRTT, m.RTT*1e3)
+		hitRTT = append(hitRTT, h.RTT*1e3)
 	}
 	h := stats.Summarize(hitRTT)
 	m := stats.Summarize(missRTT)
@@ -237,34 +209,35 @@ func TestEchoLatencyCalibration(t *testing.T) {
 
 func TestCountermeasureAddingDelays(t *testing.T) {
 	// §VII-B defense 1: delaying every packet hides the gap.
-	n, setup, _ := buildEvalNetwork(t, ControllerModel{ExtraHitDelay: 2e-3})
-	miss, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
+	f, setup := evalFleet(t, FleetConfig{Seed: 3, Ctrl: ControllerModel{ExtraHitDelay: 2e-3}})
+	miss, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, 0.3)
+	hit, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.sim2().Run()
+	f.Run()
 	// Both now exceed the 1 ms threshold: the attacker's classifier fails.
-	if hit.RTT < 1e-3 || miss.RTT < 1e-3 {
-		t.Fatalf("delays not applied: hit %v miss %v", hit.RTT, miss.RTT)
+	if h, m := f.Echo(hit), f.Echo(miss); h.RTT < 1e-3 || m.RTT < 1e-3 || h.Missed {
+		t.Fatalf("delays not applied: hit %+v miss %+v", h, m)
 	}
 }
 
 func TestCountermeasureProactive(t *testing.T) {
 	// §VII-B defense 2: proactive installation removes misses entirely.
-	n, setup, _ := buildEvalNetwork(t, proactiveModel(t))
-	first, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
+	ctrl := NewControllerModel(evalPolicy(t), controller.Options{Proactive: true})
+	f, setup := evalFleet(t, FleetConfig{Seed: 3, Ctrl: ctrl})
+	first, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.sim2().Run()
-	if first.Missed || first.RTT > 1e-3 {
-		t.Fatalf("proactive network still misses: %+v", first)
+	f.Run()
+	if st := f.Echo(first); st.Missed || st.RTT > 1e-3 {
+		t.Fatalf("proactive network still misses: %+v", st)
 	}
-	if n.PacketIns != 0 {
+	if packetIns(f) != 0 {
 		t.Fatal("proactive network consulted the controller")
 	}
 }
@@ -272,46 +245,106 @@ func TestCountermeasureProactive(t *testing.T) {
 func TestPerSwitchTablesIndependent(t *testing.T) {
 	// A rule installed at the ingress switch must not make a different
 	// ingress switch hit.
-	n, setup, _ := buildEvalNetwork(t, ControllerModel{})
-	if err := n.AddHost("far", flows.MakeIPv4(10, 0, 1, 0), "coza_rtr"); err != nil {
+	f, setup := evalFleet(t, FleetConfig{Seed: 3})
+	if err := f.AddHost("far", flows.MakeIPv4(10, 0, 1, 0), "coza_rtr"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SetReactive("coza_rtr", true); err != nil {
+	if err := f.SetReactive("coza_rtr"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.SetReactive("nope", true); err == nil {
-		t.Fatal("SetReactive on unknown switch accepted")
-	}
-	e1, err := n.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
+	e1, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.sim2().Run()
-	if !e1.Missed {
+	f.Run()
+	if !f.Echo(e1).Missed {
 		t.Fatal("first echo should miss")
 	}
 	// Same flow identifier from a different ingress switch still misses
 	// there (tables are per switch).
-	e2, err := n.SendEcho("far", setup.Destination, n.sim2().Now()+0.05)
+	e2, err := f.SendEcho("far", setup.Destination, f.Now()+0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.sim2().Run()
-	if !e2.Missed {
+	f.Run()
+	if !f.Echo(e2).Missed {
 		t.Fatal("fresh ingress switch should miss")
+	}
+	if f.Table("coza_rtr").Stats().Installs != 1 || f.Table("yoza_rtr").Stats().Installs != 1 {
+		t.Fatalf("installs: coza %+v yoza %+v", f.Table("coza_rtr").Stats(), f.Table("yoza_rtr").Stats())
 	}
 }
 
-// proactiveModel builds a ControllerModel with proactive deployment over
-// the default test policy.
-func proactiveModel(t *testing.T) ControllerModel {
-	t.Helper()
-	rs, err := rules.NewSet([]rules.Rule{
-		{Name: "r0", Cover: flows.SetOf(0, 1), Priority: 2, Timeout: 10},
-		{Name: "r1", Cover: flows.SetOf(2), Priority: 1, Timeout: 10},
-	})
+// TestSimOrdering: the simulator's event order. A fleet shard's heap pops
+// by (time, packet ID), the strict total order that makes heap contents
+// insertion-order-free.
+func TestSimOrdering(t *testing.T) {
+	var sh fleetShard
+	for _, m := range []fleetMsg{{at: 2, pkt: 0}, {at: 1, pkt: 5}, {at: 1, pkt: 3}, {at: 0.5, pkt: 9}, {at: 2, pkt: 1}} {
+		sh.push(m)
+	}
+	want := []fleetMsg{{at: 0.5, pkt: 9}, {at: 1, pkt: 3}, {at: 1, pkt: 5}, {at: 2, pkt: 0}, {at: 2, pkt: 1}}
+	for i, w := range want {
+		if got := sh.pop(); got != w {
+			t.Fatalf("pop %d = %+v, want %+v", i, got, w)
+		}
+	}
+}
+
+// TestSimRunUntil: RunUntil processes events up to t, leaves later ones
+// queued, and advances the frontier to t.
+func TestSimRunUntil(t *testing.T) {
+	f, setup := evalFleet(t, FleetConfig{Seed: 3})
+	early, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewControllerModel(rs, controller.Options{Proactive: true})
+	late, err := f.SendEcho(setup.SourceHosts[1], setup.Destination, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := f.RunUntil(2); n == 0 || !f.Echo(early).Delivered || f.Echo(late).Delivered {
+		t.Fatalf("RunUntil(2): %d events, early %+v late %+v", n, f.Echo(early), f.Echo(late))
+	}
+	if f.Now() != 2 || f.Pending() != 1 {
+		t.Fatalf("now=%v pending=%d, want 2 and the late echo's ingress event", f.Now(), f.Pending())
+	}
+	f.Run()
+	if !f.Echo(late).Delivered || f.Pending() != 0 {
+		t.Fatal("remaining echo lost")
+	}
+}
+
+// TestSimPastSchedulingClamps: an echo sent before the frontier runs at
+// the frontier; the clock never rewinds.
+func TestSimPastSchedulingClamps(t *testing.T) {
+	f, setup := evalFleet(t, FleetConfig{Seed: 3})
+	f.RunUntil(5)
+	id, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Run()
+	if st := f.Echo(id); st.SentAt != 5 || !st.Delivered || f.Now() < 5 {
+		t.Fatalf("past echo: %+v, now %v", st, f.Now())
+	}
+}
+
+// TestSimNestedScheduling: processing an event schedules the packet's
+// next one — each forward hop the following hop, the last hop the reply
+// — and one Run drains the whole chain, leaving the clock at delivery.
+func TestSimNestedScheduling(t *testing.T) {
+	f, setup := evalFleet(t, FleetConfig{Seed: 3})
+	id, err := f.SendEcho(setup.SourceHosts[0], setup.Destination, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// yoza → bbra → boza: three forward hops plus the reply delivery.
+	if n := f.Run(); n != 4 {
+		t.Fatalf("events = %d, want 4", n)
+	}
+	st := f.Echo(id)
+	if !st.Delivered || math.Abs(f.Now()-(st.SentAt+st.RTT)) > 1e-12 || f.Pending() != 0 {
+		t.Fatalf("echo %+v, now %v, pending %d", st, f.Now(), f.Pending())
+	}
 }

@@ -3,6 +3,7 @@ package openflow
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"flowrecon/internal/flows"
 	"flowrecon/internal/rules"
@@ -60,6 +61,12 @@ func TestInjectSpansJoinAcrossWire(t *testing.T) {
 			}
 		}
 		return out
+	}
+	// The controller records its flow_mod span once the FLOW_MOD is on
+	// the wire, so the switch's Inject can return before the span lands.
+	for deadline := time.Now().Add(2 * time.Second); len(find("flow_mod")) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		spans = reg.Spans().Spans()
 	}
 	injects := find("inject")
 	if len(injects) != 2 {

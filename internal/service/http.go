@@ -11,7 +11,8 @@ import (
 //
 //	POST /v1/sessions — open a session; the body is a SessionSpec, the
 //	                    response a JSONL stream of per-probe results.
-//	                    429 + Retry-After when saturated, 503 draining.
+//	                    429 + Retry-After when saturated, 503 draining,
+//	                    413 for a body over maxSpecBytes.
 //	GET  /v1/sessions — list known sessions as JSON.
 //
 // The result stream carries no server-assigned identifiers or wall-clock
@@ -72,11 +73,21 @@ type errorLine struct {
 	Error string `json:"error"`
 }
 
+// maxSpecBytes caps a POSTed SessionSpec. A spec is a handful of scalar
+// fields, well under 2 KiB; the cap keeps a hostile client from making
+// the decoder buffer an unbounded body.
+const maxSpecBytes = 64 << 10
+
 func handleOpen(w http.ResponseWriter, r *http.Request, m *Manager) {
 	var spec SessionSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "session spec exceeds the size limit", http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad session spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

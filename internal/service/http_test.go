@@ -129,6 +129,30 @@ func TestHTTPBadSpec(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedSpec413: a body past the spec size cap is refused with
+// 413 before it is buffered, and opens no session — even when its prefix
+// is a valid spec.
+func TestHTTPOversizedSpec413(t *testing.T) {
+	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})
+	spec, err := json.Marshal(testSpec("big", 3, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A valid spec whose name pads the body past the cap.
+	padded := strings.Replace(string(spec), `"name":"big"`, `"name":"`+strings.Repeat("x", maxSpecBytes)+`"`, 1)
+	resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(m.Sessions()); n != 0 {
+		t.Fatalf("oversized body opened %d sessions", n)
+	}
+}
+
 // TestHTTPList verifies the session listing endpoint.
 func TestHTTPList(t *testing.T) {
 	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})

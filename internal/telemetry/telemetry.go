@@ -219,12 +219,14 @@ func (r *Registry) Ready() bool {
 }
 
 // Snapshot is a point-in-time, JSON-serializable copy of every
-// instrument in a registry.
+// instrument in a registry. It carries no copy of the trace ring:
+// snapshots are taken per trial and per /debug/live tick, so a ring
+// copy in each would grow their total size with the square of the run
+// length. /debug/trace (Tracer.Events) is the ring's one reader.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Events     []Event                      `json:"events,omitempty"`
 	Spans      []Span                       `json:"spans,omitempty"`
 }
 
@@ -250,7 +252,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
 	}
-	s.Events = r.tracer.Events()
 	s.Spans = r.spans.Spans()
 	return s
 }

@@ -77,7 +77,7 @@ func TestDisabledPath(t *testing.T) {
 	if tr.Total() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded")
 	}
-	if s := reg.Snapshot(); len(s.Counters) != 0 || len(s.Events) != 0 {
+	if s := reg.Snapshot(); len(s.Counters) != 0 || len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot non-empty")
 	}
 	if err := reg.WritePrometheus(&strings.Builder{}); err != nil {
@@ -282,8 +282,13 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Histograms["h_ms"].Summary.N != 1 {
 		t.Fatalf("histogram round trip: %+v", back.Histograms["h_ms"])
 	}
-	if len(back.Events) != 1 || back.Events[0].Kind != "probe.hit" || back.Events[0].Flow != 3 {
-		t.Fatalf("events round trip: %+v", back.Events)
+	// The trace ring stays with the tracer: the snapshot neither copies
+	// nor serializes it.
+	if strings.Contains(string(blob), "probe.hit") {
+		t.Fatalf("snapshot serialized the trace ring: %s", blob)
+	}
+	if evs := reg.Tracer().Events(); len(evs) != 1 || evs[0].Kind != "probe.hit" || evs[0].Flow != 3 {
+		t.Fatalf("tracer ring: %+v", evs)
 	}
 }
 
