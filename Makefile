@@ -111,19 +111,23 @@ trace-smoke:
 ## internal/openflow/testdata/fuzz/; the ingest targets seed themselves
 ## (FuzzParsePacket checks the fast frame parser against a slow
 ## per-byte reference decoder, FuzzReadPcap sanity-bounds whole files).
+## FuzzSessionSpec feeds flowrecond's spec decoder and validator: no
+## panic, and no accepted spec may name a file trace source or exceed
+## the per-session trial cap.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
 	$(GO) test ./internal/rules/ -run '^$$' -fuzz FuzzMatchInDifferential -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzReadPcap -fuzztime 10s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzSessionSpec -fuzztime 10s
 
 ## cover-gate enforces statement-coverage floors on the packages whose
 ## failure modes are wire-facing: the OpenFlow codec, the fault-injection
-## layer, and the capture-ingestion pipeline must each stay at or above
-## 70%.
+## layer, the capture-ingestion pipeline and the flowrecond session
+## service must each stay at or above 70%.
 cover-gate:
-	@for pkg in internal/openflow internal/faults internal/ingest; do \
+	@for pkg in internal/openflow internal/faults internal/ingest internal/service; do \
 		pct="$$($(GO) test -cover ./$$pkg/ | awk '{for (i=1;i<=NF;i++) if ($$i ~ /^[0-9.]+%$$/) {sub(/%/,"",$$i); print $$i}}')"; \
 		if [ -z "$$pct" ]; then echo "cover-gate: no coverage figure for $$pkg"; exit 1; fi; \
 		ok="$$(echo "$$pct 70" | awk '{print ($$1 >= $$2) ? 1 : 0}')"; \

@@ -697,9 +697,10 @@ func BenchmarkDetectorObserve(b *testing.B) {
 
 // BenchmarkTelemetryOverhead compares the flow table's hot path
 // (Lookup + Install on miss) with telemetry disabled (nil registry — the
-// instruments are nil pointers, each call one nil check), enabled, and
-// enabled with tracing. Disabled must track the uninstrumented baseline
-// within noise (~5%); the ISSUE's zero-overhead-when-off contract.
+// instruments are nil pointers, each call one nil check) and enabled
+// (atomic counter and gauge updates). Disabled must track the
+// uninstrumented baseline within noise (~5%): the zero-overhead-when-off
+// contract.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	mkTable := func(b *testing.B) (*flowtable.Table, *rules.Set) {
 		rs, err := rules.NewSet([]rules.Rule{
@@ -736,13 +737,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	b.Run("enabled", func(b *testing.B) {
 		tbl, rs := mkTable(b)
-		tbl.SetTelemetry(telemetry.NewRegistry(0), "bench")
-		b.ResetTimer()
-		run(b, tbl, rs)
-	})
-	b.Run("enabled+trace", func(b *testing.B) {
-		tbl, rs := mkTable(b)
-		tbl.SetTelemetry(telemetry.NewRegistry(4096), "bench")
+		tbl.SetTelemetry(telemetry.NewRegistry(), "bench")
 		b.ResetTimer()
 		run(b, tbl, rs)
 	})

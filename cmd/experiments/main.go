@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -76,7 +75,7 @@ func run(args []string) error {
 	}
 	var reg *telemetry.Registry
 	if *telOut != "" {
-		reg = telemetry.NewRegistry(8192)
+		reg = telemetry.NewRegistry()
 		// Route the model layer's build/evolve/cache instruments into the
 		// same snapshot as the experiment metrics.
 		core.SetTelemetry(reg)
@@ -233,24 +232,12 @@ func run(args []string) error {
 		fmt.Printf("(figure 7 took %v)\n\n", time.Since(start).Round(time.Second))
 	}
 	if reg != nil {
-		if err := writeSnapshot(*telOut, reg); err != nil {
+		if err := telemetry.WriteSnapshotFile(*telOut, reg); err != nil {
 			return err
 		}
 		fmt.Printf("telemetry snapshot written to %s\n", *telOut)
 	}
 	return nil
-}
-
-// writeSnapshot dumps the registry's final state as indented JSON.
-func writeSnapshot(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(reg.Snapshot())
 }
 
 // samplingBudget derives the configuration-sampling budget: explicit when

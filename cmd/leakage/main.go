@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -51,7 +50,7 @@ func run(args []string) error {
 		return err
 	}
 	if *telAddr != "" || *telOut != "" {
-		reg := telemetry.NewRegistry(1024)
+		reg := telemetry.NewRegistry()
 		// The leakage meter is the attacker's own Markov model, so the
 		// model layer's counters are the interesting ones here.
 		core.SetTelemetry(reg)
@@ -66,7 +65,7 @@ func run(args []string) error {
 		if *telOut != "" {
 			path := *telOut
 			defer func() {
-				if err := writeSnapshot(path, reg); err != nil {
+				if err := telemetry.WriteSnapshotFile(path, reg); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 				}
 			}()
@@ -133,16 +132,4 @@ func run(args []string) error {
 		fmt.Printf("  %s\n", r)
 	}
 	return nil
-}
-
-// writeSnapshot dumps the registry's final snapshot as indented JSON.
-func writeSnapshot(path string, reg *telemetry.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(reg.Snapshot())
 }

@@ -8,7 +8,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +48,7 @@ func run(args []string) error {
 	fmt.Printf("reduction factor:                          %.4g×\n", basic/float64(compact))
 
 	if *telAddr != "" || *telOut != "" {
-		reg := telemetry.NewRegistry(64)
+		reg := telemetry.NewRegistry()
 		reg.Gauge("statecount_rules").Set(int64(*numRules))
 		reg.Gauge("statecount_cache").Set(int64(*cache))
 		reg.Gauge("statecount_states", "model", "compact").Set(int64(compact))
@@ -59,14 +58,7 @@ func run(args []string) error {
 			reg.Gauge("statecount_states", "model", "basic").Set(int64(basic))
 		}
 		if *telOut != "" {
-			f, err := os.Create(*telOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(reg.Snapshot()); err != nil {
+			if err := telemetry.WriteSnapshotFile(*telOut, reg); err != nil {
 				return err
 			}
 			fmt.Printf("telemetry snapshot written to %s\n", *telOut)

@@ -138,7 +138,7 @@ func TestParallelTrialsResultsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(1024)
+	reg := telemetry.NewRegistry()
 	par, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
 		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, Parallelism: 4})
 	if err != nil {
@@ -175,7 +175,7 @@ func TestPerTrialForcesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(1024)
+	reg := telemetry.NewRegistry()
 	_, records, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
 		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, PerTrial: true, Parallelism: 8})
 	if err != nil {
@@ -192,8 +192,8 @@ func TestPerTrialForcesSerial(t *testing.T) {
 }
 
 // TestPerTrialRecordsCarryNoRingCopy: a per-trial record is a snapshot of
-// the instruments, not of the trace ring. With a ring copy in every
-// record the records' total size grew with the square of the trial
+// the instruments, not of any event stream. With an event copy in every
+// record the records' total size would grow with the square of the trial
 // count; without it each record's size is bounded by the instrument set.
 func TestPerTrialRecordsCarryNoRingCopy(t *testing.T) {
 	spec := RecordingSpec{
@@ -212,14 +212,14 @@ func TestPerTrialRecordsCarryNoRingCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry(1 << 14)
+	reg := telemetry.NewRegistry()
 	_, records, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
 		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, PerTrial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Tracer().Total() == 0 {
-		t.Fatal("the trial tables emitted no trace events; the test proves nothing")
+	if reg.Counter("flowtable_installs_total", "node", "trial").Value() == 0 {
+		t.Fatal("the trial tables installed no rules; the test proves nothing")
 	}
 	var sizes []int
 	for _, r := range records {
@@ -228,7 +228,7 @@ func TestPerTrialRecordsCarryNoRingCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		if strings.Contains(string(blob), `"events"`) {
-			t.Fatalf("trial %d record carries the trace ring: %.200s", r.Trial, blob)
+			t.Fatalf("trial %d record carries an event stream: %.200s", r.Trial, blob)
 		}
 		sizes = append(sizes, len(blob))
 	}

@@ -16,7 +16,6 @@ type StepTable struct {
 	rules    *rules.Set
 	capacity int
 	slots    []StepEntry // index 0 is the cache front
-	step     int         // events processed (virtual step index)
 	tm       stepMetrics // resolved telemetry instruments (zero = disabled)
 }
 
@@ -82,12 +81,9 @@ func (t *StepTable) StepTimeout() bool {
 	if idx < 0 {
 		return false
 	}
-	removed := t.slots[idx].RuleID
 	t.slots = append(t.slots[:idx], t.slots[idx+1:]...)
-	t.step++
 	t.tm.steps.Inc()
 	t.tm.timeouts.Inc()
-	t.traceStep("sim.step.timeout", removed, -1)
 	return true
 }
 
@@ -97,9 +93,7 @@ func (t *StepTable) StepNull() {
 	for i := range t.slots {
 		t.slots[i].Exp--
 	}
-	t.step++
 	t.tm.steps.Inc()
-	t.traceStep("sim.step.null", -1, -1)
 }
 
 // StepArrival performs the flow-arrival transition for flow f and returns
@@ -111,10 +105,8 @@ func (t *StepTable) StepArrival(f flows.ID) (ruleID int, hit, ok bool) {
 	if slot, cached := t.matchCached(f); cached {
 		id := t.slots[slot].RuleID
 		t.applyHit(slot)
-		t.step++
 		t.tm.steps.Inc()
 		t.tm.hits.Inc()
-		t.traceStep("sim.step.hit", id, int(f))
 		return id, true, true
 	}
 	j, covered := t.rules.HighestCovering(f)
@@ -125,10 +117,8 @@ func (t *StepTable) StepArrival(f flows.ID) (ruleID int, hit, ok bool) {
 		return 0, false, false
 	}
 	t.applyMiss(j)
-	t.step++
 	t.tm.steps.Inc()
 	t.tm.misses.Inc()
-	t.traceStep("sim.step.miss", j, int(f))
 	return j, false, true
 }
 

@@ -100,7 +100,7 @@ func TestFaultDeterminism(t *testing.T) {
 
 // TestFaultTelemetryCounters: drops surface in the fleet's drop counter.
 func TestFaultTelemetryCounters(t *testing.T) {
-	reg := telemetry.NewRegistry(0)
+	reg := telemetry.NewRegistry()
 	f, setup := attackFleet(t, FleetConfig{Seed: 3, Faults: faults.Profile{Seed: 1, LossProb: 1}, Registry: reg})
 	if _, err := NewFleetProber(f).Probe(setup.SourceHosts[0], setup.Destination, 0); err != nil {
 		t.Fatal(err)

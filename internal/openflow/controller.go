@@ -64,9 +64,8 @@ type Controller struct {
 type ctlMetrics struct {
 	connections   *telemetry.Counter
 	flowRemovals  *telemetry.Counter
-	packetInDupes *telemetry.Counter   // retransmitted PACKET_INs answered from the dedup cache
-	serviceTime   *telemetry.Histogram // packet-in → flow-mod/packet-out, seconds
-	tracer        *telemetry.Tracer
+	packetInDupes *telemetry.Counter      // retransmitted PACKET_INs answered from the dedup cache
+	serviceTime   *telemetry.Histogram    // packet-in → flow-mod/packet-out, seconds
 	spans         *telemetry.SpanRecorder // wall-clock causal spans
 	events        *telemetry.EventLog     // wide events (decisions, dupes)
 }
@@ -84,7 +83,6 @@ func (c *Controller) SetTelemetry(reg *telemetry.Registry) {
 		flowRemovals:  reg.Counter("controller_flow_removals_total"),
 		packetInDupes: reg.Counter("controller_packet_in_dupes_total"),
 		serviceTime:   reg.Histogram("controller_packet_in_service_seconds", nil),
-		tracer:        reg.Tracer(),
 		spans:         reg.Spans(),
 		events:        reg.Events(),
 	}
@@ -238,27 +236,10 @@ func (c *Controller) ServeConn(conn *Conn) {
 		case *FlowRemoved:
 			c.flowRemovals.Add(1)
 			c.tm.flowRemovals.Inc()
-			c.traceRemoved(m)
 		case *FeaturesReply, *Hello, *EchoReply, *ErrorMsg:
 			// informational
 		}
 	}
-}
-
-// traceRemoved emits one flow-removal notification event.
-func (c *Controller) traceRemoved(m *FlowRemoved) {
-	if c.tm.tracer == nil {
-		return
-	}
-	kind := "rule.expire"
-	if m.Reason == RemovedDelete {
-		kind = "rule.evict"
-	}
-	e := telemetry.Ev(kind)
-	e.Node = "controller"
-	e.Rule = int(m.Cookie)
-	e.Detail = "flow_removed"
-	c.tm.tracer.Emit(e)
 }
 
 // dedupCache is a bounded FIFO memory of answered PACKET_IN buffer ids

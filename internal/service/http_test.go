@@ -3,12 +3,17 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"flowrecon/internal/experiment"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Manager) {
@@ -126,6 +131,39 @@ func TestHTTPBadSpec(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPRefusesFileTraceSource: the daemon never opens a file a client
+// names. A spec replaying a valid flow log is refused with a 400 that
+// does not echo the path, and opens no session.
+func TestHTTPRefusesFileTraceSource(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flows.csv")
+	var log strings.Builder
+	log.WriteString("time,src,dst,proto,sport,dport\n")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&log, "%.2f,10.0.0.%d,10.0.1.1,tcp,%d,443\n", float64(i)*0.05, 1+i%8, 40000+i%8)
+	}
+	if err := os.WriteFile(path, []byte(log.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, m := newTestServer(t, Config{MaxActive: 2, Workers: 1})
+	spec := testSpec("file", 3, 2, 2)
+	spec.Target.Trace = &experiment.TraceSourceSpec{Kind: "flowlog", Path: path}
+	resp := postSpec(t, srv.URL, spec)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("flow-log spec: status %d, want 400", resp.StatusCode)
+	}
+	if strings.Contains(string(body), filepath.Base(path)) {
+		t.Fatalf("refusal echoes the path: %q", body)
+	}
+	if n := len(m.Sessions()); n != 0 {
+		t.Fatalf("refused spec opened %d sessions", n)
 	}
 }
 

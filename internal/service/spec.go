@@ -32,12 +32,21 @@ type SessionSpec struct {
 	Detect bool `json:"detect,omitempty"`
 }
 
-// Validate checks the spec.
+// maxBudget caps the trials one session may request.
+const maxBudget = 1 << 20
+
+// Validate checks the spec. File trace sources are refused before any
+// other check: the daemon never opens a path a client names, and the
+// error names no path, so a refusal reveals nothing about the host's
+// files. Generated workload kinds are accepted; file replay is for the
+// local CLIs (flowrecon, experiments).
 func (s *SessionSpec) Validate() error {
+	if s.Target.Trace.IsFile() {
+		return fmt.Errorf("service: file trace sources are not accepted; use a generated workload kind")
+	}
 	if err := s.Target.Validate(); err != nil {
 		return err
 	}
-	const maxBudget = 1 << 20
 	if s.Target.Trials > maxBudget {
 		return fmt.Errorf("service: %d trials exceeds the per-session budget cap", s.Target.Trials)
 	}

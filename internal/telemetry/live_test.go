@@ -168,7 +168,7 @@ func TestDecodeLiveUpdateRoundTrip(t *testing.T) {
 // frame arrives immediately, is a well-formed SSE "live" event, and its
 // payload decodes with elapsed forced to zero.
 func TestServeLiveSSE(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Counter("experiment_trials_total").Add(5)
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
@@ -209,7 +209,7 @@ func TestServeLiveSSE(t *testing.T) {
 }
 
 func TestHealthEndpoints(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
@@ -241,7 +241,7 @@ func TestHealthEndpoints(t *testing.T) {
 }
 
 func TestDebugEventsEndpoint(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	l := reg.EnableEvents(0)
 	l.SetClock(nil)
 	for i := 0; i < 4; i++ {
@@ -284,6 +284,20 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	}
 	if got := lines("/debug/events?n=2"); len(got) != 2 {
 		t.Fatalf("n filter: %d lines", len(got))
+	}
+	// kind and n compose: the most recent n events of that kind.
+	got = lines("/debug/events?kind=probe&n=2")
+	if len(got) != 2 {
+		t.Fatalf("kind+n filter: %d lines, want 2", len(got))
+	}
+	for i, line := range got {
+		var e WideEvent
+		if err := json.Unmarshal([]byte(line), &e); err != nil || e.Kind != "probe" || e.Trial != i+1 {
+			t.Fatalf("kind+n line %d = %q (%v), want probe of trial %d", i, line, err, i+1)
+		}
+	}
+	if got := lines("/debug/events?n=bogus"); len(got) != 4 {
+		t.Fatalf("malformed n: %d lines, want 4 (ignored)", len(got))
 	}
 }
 

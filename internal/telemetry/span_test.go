@@ -119,7 +119,7 @@ func TestRegistryEnableSpans(t *testing.T) {
 	if nilReg.EnableSpans(8) != nil || nilReg.Spans() != nil {
 		t.Fatal("nil registry returned a live span recorder")
 	}
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	if reg.Spans() != nil {
 		t.Fatal("spans enabled by default")
 	}
@@ -127,57 +127,28 @@ func TestRegistryEnableSpans(t *testing.T) {
 	if sr == nil || reg.Spans() != sr || reg.EnableSpans(8) != sr {
 		t.Fatal("EnableSpans not idempotent")
 	}
-	id := sr.Start(sr.NewTrace(), 0, "x", "", 0)
-	sr.End(id, 1)
-	if got := len(reg.Snapshot().Spans); got != 1 {
-		t.Fatalf("snapshot has %d spans, want 1", got)
-	}
 }
 
-func TestFilterEvents(t *testing.T) {
-	events := []Event{
-		{Seq: 0, Kind: "probe.hit"},
-		{Seq: 1, Kind: "probe.miss"},
-		{Seq: 2, Kind: "probe.hit"},
-		{Seq: 3, Kind: "rule.install"},
-		{Seq: 4, Kind: "probe.hit"},
-	}
-	got := FilterEvents(events, "probe.hit", 0)
-	if len(got) != 3 || got[0].Seq != 0 || got[2].Seq != 4 {
-		t.Fatalf("kind filter: %+v", got)
-	}
-	got = FilterEvents(events, "probe.hit", 2)
-	if len(got) != 2 || got[0].Seq != 2 || got[1].Seq != 4 {
-		t.Fatalf("kind+n filter: %+v", got)
-	}
-	got = FilterEvents(events, "", 2)
-	if len(got) != 2 || got[0].Seq != 3 {
-		t.Fatalf("n-only filter: %+v", got)
-	}
-	if got := FilterEvents(events, "nope", 0); len(got) != 0 {
-		t.Fatalf("unknown kind returned %d events", len(got))
-	}
-	if got := FilterEvents(events, "", 0); len(got) != len(events) {
-		t.Fatal("no-op filter dropped events")
-	}
-}
-
-func TestDebugTraceQueryFilters(t *testing.T) {
-	reg := NewRegistry(64)
-	tr := reg.Tracer()
-	for i := 0; i < 5; i++ {
-		e := Ev("probe.hit")
-		if i%2 == 1 {
-			e = Ev("probe.miss")
-		}
-		e.Flow = i
-		tr.Emit(e)
-	}
+// TestSnapshotCarriesNoSpans: a registry snapshot is taken per
+// /debug/live tick and per /debug/vars hit, so it must not copy the span
+// recorder. Its JSON has no "spans" key and its size does not grow with
+// the number of recorded spans, which /debug/spans keeps serving.
+func TestSnapshotCarriesNoSpans(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("c_total").Inc()
+	sr := reg.EnableSpans(1024)
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
-	lines := func(url string) []string {
-		resp, err := http.Get(url)
+	snapshotJSON := func() string {
+		blob, err := json.Marshal(reg.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	spanLines := func() int {
+		resp, err := http.Get(srv.URL + "/debug/spans")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,41 +157,23 @@ func TestDebugTraceQueryFilters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trimmed := strings.TrimSpace(string(body))
-		if trimmed == "" {
-			return nil
-		}
-		return strings.Split(trimmed, "\n")
+		return strings.Count(string(body), "\n")
 	}
 
-	if got := lines(srv.URL + "/debug/trace"); len(got) != 5 {
-		t.Fatalf("unfiltered: %d lines, want 5", len(got))
+	before := snapshotJSON()
+	const n = 500
+	for i := 0; i < n; i++ {
+		sr.End(sr.Start(sr.NewTrace(), 0, "probe", "switch", float64(i)), float64(i+1))
 	}
-	got := lines(srv.URL + "/debug/trace?kind=probe.miss")
-	if len(got) != 2 {
-		t.Fatalf("kind filter: %d lines, want 2", len(got))
+	after := snapshotJSON()
+	if strings.Contains(after, `"spans"`) {
+		t.Fatalf("snapshot carries the span recorder: %.200s", after)
 	}
-	var e Event
-	if err := json.Unmarshal([]byte(got[0]), &e); err != nil || e.Kind != "probe.miss" {
-		t.Fatalf("bad filtered event %q: %v", got[0], err)
+	if len(after) != len(before) {
+		t.Fatalf("snapshot grew from %d to %d bytes over %d spans", len(before), len(after), n)
 	}
-	if got := lines(srv.URL + "/debug/trace?n=3"); len(got) != 3 {
-		t.Fatalf("n filter: %d lines, want 3", len(got))
-	}
-	if got := lines(srv.URL + "/debug/trace?kind=probe.hit&n=1"); len(got) != 1 {
-		t.Fatalf("kind+n filter: %d lines, want 1", len(got))
-	}
-	if got := lines(srv.URL + "/debug/trace?n=bogus"); len(got) != 5 {
-		t.Fatalf("malformed n: %d lines, want 5 (ignored)", len(got))
-	}
-	if got := lines(srv.URL + "/debug/spans"); len(got) != 0 {
-		t.Fatalf("spans disabled but served %d lines", len(got))
-	}
-
-	sr := reg.EnableSpans(8)
-	sr.End(sr.Start(sr.NewTrace(), 0, "x", "", 0), 1)
-	if got := lines(srv.URL + "/debug/spans"); len(got) != 1 {
-		t.Fatalf("spans: %d lines, want 1", len(got))
+	if got := spanLines(); got != n {
+		t.Fatalf("/debug/spans served %d lines, want %d", got, n)
 	}
 }
 

@@ -1,30 +1,35 @@
 // Package telemetry is the repository's dependency-free observability
 // substrate: a metrics registry (atomic counters, gauges, fixed-bucket
-// latency histograms with p50/p95/p99) plus a bounded ring-buffer event
-// tracer for timestamped structured events (rule install/evict/timeout,
-// packet-in/flow-mod, probe hit/miss, simulator virtual-time steps).
+// latency histograms with p50/p95/p99), a causal-span recorder (span.go)
+// and a wide-event log (eventlog.go). Rule install/evict/expire,
+// packet-in decisions and probe outcomes surface as labelled counters
+// and histograms; probe outcomes, controller decisions and trial
+// verdicts also surface as wide events.
 //
 // Design rules:
 //
 //   - Disabled means nil. Every instrument (Counter, Gauge, Histogram,
-//     Tracer) is safe to use through a nil pointer, where each method is
-//     a no-op guarded by a single nil check. Instrumented code resolves
-//     its instruments once (from a possibly-nil *Registry, whose accessor
-//     methods also accept a nil receiver) and then calls them
-//     unconditionally on the hot path — no branching on configuration,
-//     no interface dispatch, no allocation.
+//     SpanRecorder, EventLog) is safe to use through a nil pointer, where
+//     each method is a no-op guarded by a single nil check. Instrumented
+//     code resolves its instruments once (from a possibly-nil *Registry,
+//     whose accessor methods also accept a nil receiver) and then calls
+//     them unconditionally on the hot path — no branching on
+//     configuration, no interface dispatch, no allocation.
 //
-//   - Enabled means atomic. All instrument updates are lock-free atomic
+//   - Enabled means atomic. All metric updates are lock-free atomic
 //     operations, safe for concurrent use; the registry's name→instrument
 //     maps take a lock only on first resolution.
 //
 //   - Exposition is pull-based: Snapshot() for JSON serialization,
 //     WritePrometheus for the text format, and Handler for a live
-//     /metrics + /debug/trace + pprof endpoint (see http.go).
+//     /metrics + /debug/events + /debug/spans + pprof endpoint (see
+//     http.go).
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -40,24 +45,19 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	tracer     *Tracer
 	spans      *SpanRecorder
 	events     *EventLog
 	notReady   atomic.Bool // readiness flag served by /readyz (zero = ready)
 }
 
-// NewRegistry returns an empty registry whose tracer retains up to
-// traceCap events (0 disables tracing: Tracer() returns nil).
-func NewRegistry(traceCap int) *Registry {
-	r := &Registry{
+// NewRegistry returns an empty registry. Spans and wide events stay
+// disabled until EnableSpans / EnableEvents attach them.
+func NewRegistry() *Registry {
+	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
-	if traceCap > 0 {
-		r.tracer = NewTracer(traceCap)
-	}
-	return r
 }
 
 // Series formats a labelled series key as name{k1="v1",k2="v2"}. Labels
@@ -131,15 +131,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 		r.histograms[key] = h
 	}
 	return h
-}
-
-// Tracer returns the registry's event tracer (nil when tracing is
-// disabled or the registry itself is nil).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // EnableSpans attaches a causal-span recorder retaining up to cap spans
@@ -218,16 +209,15 @@ func (r *Registry) Ready() bool {
 	return !r.notReady.Load()
 }
 
-// Snapshot is a point-in-time, JSON-serializable copy of every
-// instrument in a registry. It carries no copy of the trace ring:
-// snapshots are taken per trial and per /debug/live tick, so a ring
-// copy in each would grow their total size with the square of the run
-// length. /debug/trace (Tracer.Events) is the ring's one reader.
+// Snapshot is a point-in-time, JSON-serializable copy of every metric
+// in a registry. It carries no copy of the span recorder or the event
+// log: snapshots are taken per trial and per /debug/live tick, so a
+// copy of either in each would grow their total size with the square of
+// the run length. /debug/spans and /debug/events serve those streams.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      []Span                       `json:"spans,omitempty"`
 }
 
 // Snapshot captures the current value of every instrument. On a nil
@@ -252,8 +242,24 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
 	}
-	s.Spans = r.spans.Spans()
 	return s
+}
+
+// WriteSnapshotFile writes the registry's snapshot to path as indented
+// JSON, replacing any existing file. A nil registry writes an empty
+// snapshot.
+func WriteSnapshotFile(path string, r *Registry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(r.Snapshot()); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // sortedKeys returns the map's keys in lexical order.

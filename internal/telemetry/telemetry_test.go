@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +29,7 @@ func TestSeriesFormatting(t *testing.T) {
 }
 
 func TestCounterGaugeBasics(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	c := reg.Counter("c_total")
 	c.Inc()
 	c.Add(4)
@@ -72,11 +74,6 @@ func TestDisabledPath(t *testing.T) {
 	if snap := h.Snapshot(); snap.Summary.N != 0 {
 		t.Fatal("nil histogram snapshot non-empty")
 	}
-	tr := reg.Tracer()
-	tr.Emit(Ev("x"))
-	if tr.Total() != 0 || tr.Events() != nil {
-		t.Fatal("nil tracer recorded")
-	}
 	if s := reg.Snapshot(); len(s.Counters) != 0 || len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot non-empty")
 	}
@@ -85,15 +82,14 @@ func TestDisabledPath(t *testing.T) {
 	}
 }
 
-// TestConcurrentInstruments hammers one counter, gauge, histogram, and
-// tracer from many goroutines; run under -race this is the data-race
+// TestConcurrentInstruments hammers one counter, gauge, and histogram
+// from many goroutines; run under -race this is the data-race
 // check, and the totals must still be exact.
 func TestConcurrentInstruments(t *testing.T) {
-	reg := NewRegistry(64)
+	reg := NewRegistry()
 	c := reg.Counter("c_total")
 	g := reg.Gauge("g")
 	h := reg.Histogram("h_seconds", nil)
-	tr := reg.Tracer()
 
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -105,9 +101,6 @@ func TestConcurrentInstruments(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(i%10) * 1e-3)
-				if i%100 == 0 {
-					tr.Emit(Ev("tick"))
-				}
 			}
 		}(w)
 	}
@@ -122,9 +115,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count: %d", h.Count())
 	}
-	if tr.Total() != workers*per/100 {
-		t.Fatalf("tracer total: %d", tr.Total())
-	}
 	snap := h.Snapshot()
 	var n int64
 	for _, b := range snap.Counts {
@@ -132,45 +122,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if n != workers*per {
 		t.Fatalf("bucket mass: %d", n)
-	}
-}
-
-func TestTracerRingWraparound(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		e := Ev("e")
-		e.Flow = i
-		tr.Emit(e)
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total: %d", tr.Total())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained: %d", len(evs))
-	}
-	for i, e := range evs {
-		if e.Flow != 6+i {
-			t.Fatalf("event %d: flow %d, want %d", i, e.Flow, 6+i)
-		}
-		if e.Seq != int64(6+i) {
-			t.Fatalf("event %d: seq %d", i, e.Seq)
-		}
-	}
-	var sb strings.Builder
-	if err := tr.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("jsonl lines: %d", len(lines))
-	}
-	var first Event
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	if first.Flow != 6 {
-		t.Fatalf("jsonl first flow: %d", first.Flow)
 	}
 }
 
@@ -222,7 +173,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.Counter("req_total", "result", "hit").Add(3)
 	reg.Counter("req_total", "result", "miss").Add(1)
 	reg.Gauge("occupancy").Set(6)
@@ -259,14 +210,10 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
-	reg := NewRegistry(8)
+	reg := NewRegistry()
 	reg.Counter("c_total").Add(2)
 	reg.Gauge("g").Set(-1)
 	reg.Histogram("h_ms", MillisecondBuckets()).Observe(0.1)
-	e := Ev("probe.hit")
-	e.Node = "s1"
-	e.Flow = 3
-	reg.Tracer().Emit(e)
 
 	blob, err := json.Marshal(reg.Snapshot())
 	if err != nil {
@@ -282,20 +229,34 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Histograms["h_ms"].Summary.N != 1 {
 		t.Fatalf("histogram round trip: %+v", back.Histograms["h_ms"])
 	}
-	// The trace ring stays with the tracer: the snapshot neither copies
-	// nor serializes it.
-	if strings.Contains(string(blob), "probe.hit") {
-		t.Fatalf("snapshot serialized the trace ring: %s", blob)
+}
+
+func TestWriteSnapshotFile(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("c_total").Add(3)
+	path := filepath.Join(t.TempDir(), "snap.json")
+	if err := WriteSnapshotFile(path, reg); err != nil {
+		t.Fatal(err)
 	}
-	if evs := reg.Tracer().Events(); len(evs) != 1 || evs[0].Kind != "probe.hit" || evs[0].Flow != 3 {
-		t.Fatalf("tracer ring: %+v", evs)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), "\n  \"counters\": {") {
+		t.Fatalf("snapshot not indented: %s", blob)
+	}
+	var back Snapshot
+	if err := json.Unmarshal(blob, &back); err != nil || back.Counters["c_total"] != 3 {
+		t.Fatalf("round trip: %+v (%v)", back, err)
+	}
+	if err := WriteSnapshotFile(filepath.Join(path, "sub"), reg); err == nil {
+		t.Fatal("writing under a regular file succeeded")
 	}
 }
 
 func TestHTTPHandler(t *testing.T) {
-	reg := NewRegistry(8)
+	reg := NewRegistry()
 	reg.Counter("hits_total").Inc()
-	reg.Tracer().Emit(Ev("rule.install"))
 	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
@@ -316,9 +277,6 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if body := get("/metrics"); !strings.Contains(body, "hits_total 1") {
 		t.Fatalf("/metrics: %q", body)
-	}
-	if body := get("/debug/trace"); !strings.Contains(body, `"kind":"rule.install"`) {
-		t.Fatalf("/debug/trace: %q", body)
 	}
 	if body := get("/debug/vars"); !strings.Contains(body, `"hits_total": 1`) {
 		t.Fatalf("/debug/vars: %q", body)
