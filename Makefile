@@ -113,7 +113,12 @@ trace-smoke:
 ## per-byte reference decoder, FuzzReadPcap sanity-bounds whole files).
 ## FuzzSessionSpec feeds flowrecond's spec decoder and validator: no
 ## panic, and no accepted spec may name a file trace source or exceed
-## the per-session trial cap.
+## the per-session trial cap. FuzzTrialrecRead feeds the recording
+## reader behind `inspect -diff`/`-replay`: no panic, and every accepted
+## recording parses identically twice. Its seeds are the ~28 KB golden
+## recordings, and minimizing each new input of that size for the default
+## 60 s would spend the whole 10 s budget, so its minimization is capped
+## at 100 runs per input.
 fuzz-smoke:
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s
 	$(GO) test ./internal/openflow/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
@@ -121,6 +126,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzParsePacket -fuzztime 10s
 	$(GO) test ./internal/ingest/ -run '^$$' -fuzz FuzzReadPcap -fuzztime 10s
 	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzSessionSpec -fuzztime 10s
+	$(GO) test ./internal/trialrec/ -run '^$$' -fuzz FuzzTrialrecRead -fuzztime 10s -fuzzminimizetime 100x
 
 ## cover-gate enforces statement-coverage floors on the packages whose
 ## failure modes are wire-facing: the OpenFlow codec, the fault-injection

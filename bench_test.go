@@ -474,9 +474,10 @@ func BenchmarkTrialLoopRecording(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	runner := experiment.NewTrialRunner(nc, attackers, spec.Measurement, experiment.RunnerOptions{})
 	trial := func(b *testing.B, opts experiment.TrialOptions) {
 		b.Helper()
-		if _, _, err := experiment.RunTrialsOpts(nc, attackers, 1, spec.Measurement, stats.NewRNG(spec.TrialSeed), opts); err != nil {
+		if _, _, err := runner.RunAll(1, stats.NewRNG(spec.TrialSeed), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -530,11 +531,12 @@ func BenchmarkTrialLoopParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	runner := experiment.NewTrialRunner(nc, attackers, spec.Measurement, experiment.RunnerOptions{})
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(workerLabel(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := experiment.RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-					stats.NewRNG(spec.TrialSeed), experiment.TrialOptions{Parallelism: workers}); err != nil {
+				if _, _, err := runner.RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed),
+					experiment.TrialOptions{Parallelism: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

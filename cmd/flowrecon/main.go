@@ -105,10 +105,6 @@ func run(args []string) error {
 		return err
 	}
 	spec.Trace = traceSpec
-	source, err := traceSpec.Source()
-	if err != nil {
-		return err
-	}
 	switch {
 	case *traceF != "":
 		fmt.Printf("traffic: windowed replay of %s (sha256 %s…, rates fitted from the capture)\n", *traceF, traceSpec.SHA256[:12])
@@ -214,7 +210,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var detCfg *detect.Config
+	ropts := experiment.RunnerOptions{Registry: reg}
 	if *detectF {
 		// Train the benign baseline on fresh Poisson windows for this
 		// exact configuration, then run one detector replica per
@@ -224,45 +220,31 @@ func run(args []string) error {
 			return err
 		}
 		cfg := experiment.DetectConfigFor(nc, base)
-		detCfg = &cfg
+		ropts.Detect = &cfg
 		detAgg = detect.New(cfg)
 		if reg != nil {
 			detAgg.SetTelemetry(reg)
 		}
 		fmt.Printf("\ndefender armed: streaming detector on every trial (baseline: 40 benign windows)\n")
 	}
+	runner, err := spec.Runner(nc, attackers, ropts)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("\nrunning %d trials…\n", *trials)
 	reg.SetReady(true) // model fitted; the run is now in its steady phase
 	var rec *trialrec.Recorder
 	if *recOut != "" {
-		specJSON, err := json.Marshal(spec)
+		header, err := spec.Header(runner.Names())
 		if err != nil {
 			return err
 		}
-		names := make([]string, len(attackers))
-		for i, a := range attackers {
-			names[i] = a.Name()
-		}
-		rec, err = trialrec.Create(*recOut, trialrec.Header{
-			Spec:      specJSON,
-			Seed:      spec.TrialSeed,
-			Trials:    *trials,
-			Attackers: names,
-		})
-		if err != nil {
+		if rec, err = trialrec.Create(*recOut, header); err != nil {
 			return err
 		}
 	}
-	opts := experiment.TrialOptions{Registry: reg, PerTrial: *telOut != "", Recorder: rec, Events: events, Parallelism: *par, Source: source}
-	if detCfg != nil {
-		opts.Detect = detCfg
-		opts.DetectAggregate = detAgg
-	}
-	if spec.Faults != nil {
-		opts.Faults = *spec.Faults
-	}
-	results, records, err := experiment.RunTrialsOpts(
-		nc, attackers, *trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), opts)
+	opts := experiment.TrialOptions{PerTrial: *telOut != "", Recorder: rec, Events: events, Parallelism: *par, DetectAggregate: detAgg}
+	results, records, err := runner.RunAll(*trials, stats.NewRNG(spec.TrialSeed), opts)
 	if err != nil {
 		rec.Close()
 		return err

@@ -33,7 +33,7 @@ func recordFixture(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, _, err := experiment.RecordTo(f, spec, nil); err != nil {
+	if _, _, err := experiment.RecordTo(f, spec, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	return path

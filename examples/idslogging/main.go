@@ -95,7 +95,8 @@ func run() error {
 		model,
 		pair,
 	}
-	results, err := experiment.RunTrials(nc, attackers, 400, experiment.DefaultMeasurement(), stats.NewRNG(7))
+	runner := experiment.NewTrialRunner(nc, attackers, experiment.DefaultMeasurement(), experiment.RunnerOptions{})
+	results, _, err := runner.RunAll(400, stats.NewRNG(7), experiment.TrialOptions{})
 	if err != nil {
 		return err
 	}

@@ -282,7 +282,7 @@ func StealthTradeoff(nc *NetworkConfig, cfg detect.Config, meas Measurement, tri
 			return nil, err
 		}
 		model.SetPacing(pace)
-		results, _, err := RunTrialsOpts(nc, []core.Attacker{model}, trials, meas, stats.NewRNG(seed), TrialOptions{Detect: &cfg})
+		results, _, err := NewTrialRunner(nc, []core.Attacker{model}, meas, RunnerOptions{Detect: &cfg}).RunAll(trials, stats.NewRNG(seed), TrialOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -30,12 +30,12 @@ func detectRun(t *testing.T, spec RecordingSpec, cfg detect.Config, parallelism 
 	events := telemetry.NewEventLog(0)
 	events.SetClock(nil)
 	agg := detect.New(cfg)
-	opts := TrialOptions{Events: events, Parallelism: parallelism, Detect: &cfg, DetectAggregate: agg}
-	if spec.Faults != nil {
-		opts.Faults = *spec.Faults
+	runner, err := spec.Runner(nc, attackers, RunnerOptions{Detect: &cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), opts); err != nil {
+	if _, _, err := runner.RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed),
+		TrialOptions{Events: events, Parallelism: parallelism, DetectAggregate: agg}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -265,8 +265,8 @@ func TestStealthPacingDecaysObservations(t *testing.T) {
 		}
 		events := telemetry.NewEventLog(0)
 		events.SetClock(nil)
-		results, _, err := RunTrialsOpts(nc, []core.Attacker{model}, 200, DefaultMeasurement(),
-			stats.NewRNG(71), TrialOptions{Events: events})
+		results, _, err := NewTrialRunner(nc, []core.Attacker{model}, DefaultMeasurement(), RunnerOptions{}).
+			RunAll(200, stats.NewRNG(71), TrialOptions{Events: events})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,11 +309,12 @@ func TestPacingOffIsByteCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunTrials(nc, attackers, 60, DefaultMeasurement(), stats.NewRNG(5))
+	runner := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{})
+	a, _, err := runner.RunAll(60, stats.NewRNG(5), TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTrials(nc, attackers, 60, DefaultMeasurement(), stats.NewRNG(5))
+	b, _, err := runner.RunAll(60, stats.NewRNG(5), TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,12 @@ func eventRun(t *testing.T, spec RecordingSpec, parallelism int) []byte {
 	}
 	events := telemetry.NewEventLog(0)
 	events.SetClock(nil)
-	opts := TrialOptions{Events: events, Parallelism: parallelism}
-	if spec.Faults != nil {
-		opts.Faults = *spec.Faults
+	runner, err := spec.Runner(nc, attackers, RunnerOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), opts); err != nil {
+	if _, _, err := runner.RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed),
+		TrialOptions{Events: events, Parallelism: parallelism}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -108,8 +108,9 @@ func TestEventStreamContent(t *testing.T) {
 	}
 	events := telemetry.NewEventLog(0)
 	events.SetClock(nil)
-	if _, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Events: events, Parallelism: 1}); err != nil {
+	runner := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{})
+	if _, _, err := runner.RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed),
+		TrialOptions{Events: events, Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 

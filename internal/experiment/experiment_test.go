@@ -133,7 +133,8 @@ func TestRunTrialsAccounting(t *testing.T) {
 	}
 	naive := &core.NaiveAttacker{TargetFlow: nc.Target}
 	rnd := &core.RandomAttacker{PPresent: 1 - nc.PAbsent()}
-	results, err := RunTrials(nc, []core.Attacker{naive, rnd}, 60, DefaultMeasurement(), stats.NewRNG(11))
+	results, _, err := NewTrialRunner(nc, []core.Attacker{naive, rnd}, DefaultMeasurement(), RunnerOptions{}).
+		RunAll(60, stats.NewRNG(11), TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,8 @@ func TestNaiveAttackerBeatsCoinFlipOnViableConfig(t *testing.T) {
 		model,
 		&core.RandomAttacker{PPresent: 1 - nc.PAbsent()},
 	}
-	results, err := RunTrials(nc, attackers, 300, DefaultMeasurement(), stats.NewRNG(31))
+	results, _, err := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{}).
+		RunAll(300, stats.NewRNG(31), TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +419,8 @@ func TestRunTrialsWithAlternativeSources(t *testing.T) {
 		"bursty":   BurstySource(bf, on, off),
 		"periodic": PeriodicSource,
 	} {
-		results, err := RunTrialsWithSource(nc, []core.Attacker{naive}, 50, DefaultMeasurement(), stats.NewRNG(9), src)
+		results, _, err := NewTrialRunner(nc, []core.Attacker{naive}, DefaultMeasurement(), RunnerOptions{Source: src}).
+			RunAll(50, stats.NewRNG(9), TrialOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -440,7 +443,8 @@ func TestAdaptiveAttackerInTrials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunTrials(nc, []core.Attacker{adaptive}, 60, DefaultMeasurement(), stats.NewRNG(13))
+	results, _, err := NewTrialRunner(nc, []core.Attacker{adaptive}, DefaultMeasurement(), RunnerOptions{}).
+		RunAll(60, stats.NewRNG(13), TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

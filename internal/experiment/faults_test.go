@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"testing"
 
@@ -22,9 +21,9 @@ func chaosSpec() RecordingSpec {
 	return spec
 }
 
-// recordWith is RecordTo with explicit TrialOptions, for tests that need
+// recordWith is RecordTo with explicit RunnerOptions, for tests that need
 // to vary the options against an identical header.
-func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts TrialOptions) []AttackerResult {
+func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts RunnerOptions) []AttackerResult {
 	t.Helper()
 	nc, err := spec.BuildConfig()
 	if err != nil {
@@ -34,22 +33,16 @@ func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts TrialOptions
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(attackers))
-	for i, a := range attackers {
-		names[i] = a.Name()
-	}
-	specJSON, err := json.Marshal(spec)
+	runner := NewTrialRunner(nc, attackers, spec.Measurement, opts)
+	header, err := spec.Header(runner.Names())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := trialrec.NewRecorder(struct{ io.Writer }{w}, trialrec.Header{
-		Spec: specJSON, Seed: spec.TrialSeed, Trials: spec.Trials, Attackers: names,
-	})
+	rec, err := trialrec.NewRecorder(struct{ io.Writer }{w}, header)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Recorder = rec
-	results, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), opts)
+	results, _, err := runner.RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +59,8 @@ func recordWith(t *testing.T, w io.Writer, spec RecordingSpec, opts TrialOptions
 func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 	spec := smallSpec()
 	var clean, disabled bytes.Buffer
-	recordWith(t, &clean, spec, TrialOptions{})
-	recordWith(t, &disabled, spec, TrialOptions{Faults: faults.Profile{Seed: 99}})
+	recordWith(t, &clean, spec, RunnerOptions{})
+	recordWith(t, &disabled, spec, RunnerOptions{Faults: faults.Profile{Seed: 99}})
 	if !bytes.Equal(clean.Bytes(), disabled.Bytes()) {
 		t.Fatal("zero-knob fault profile perturbed the recording bytes")
 	}
@@ -80,11 +73,11 @@ func TestFaultsDisabledIsByteIdentical(t *testing.T) {
 func TestChaosRecordingDeterminism(t *testing.T) {
 	spec := chaosSpec()
 	var a, b bytes.Buffer
-	resA, _, err := RecordTo(&a, spec, nil)
+	resA, _, err := RecordTo(&a, spec, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RecordTo(&b, spec, nil); err != nil {
+	if _, _, err := RecordTo(&b, spec, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -156,10 +149,11 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), TrialOptions{
-			Faults:      *spec.Faults,
-			Parallelism: parallelism,
-		})
+		runner, err := spec.Runner(nc, attackers, RunnerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := runner.RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +174,7 @@ func TestChaosTelemetry(t *testing.T) {
 	spec := chaosSpec()
 	reg := telemetry.NewRegistry()
 	var buf bytes.Buffer
-	if _, _, err := RecordTo(&buf, spec, reg); err != nil {
+	if _, _, err := RecordTo(&buf, spec, reg, 1); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -197,7 +191,7 @@ func TestChaosTelemetry(t *testing.T) {
 func TestChaosSpecRoundTrip(t *testing.T) {
 	spec := chaosSpec()
 	var buf bytes.Buffer
-	if _, _, err := RecordTo(&buf, spec, nil); err != nil {
+	if _, _, err := RecordTo(&buf, spec, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := trialrec.Read(bytes.NewReader(buf.Bytes()))

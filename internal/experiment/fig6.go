@@ -107,9 +107,8 @@ func RunFig6(opts Fig6Options) (*Fig6Result, error) {
 			&core.NaiveAttacker{TargetFlow: nc.Target},
 			model,
 		}
-		results, _, err := RunTrialsOpts(nc, attackers, opts.TrialsPerConfig, meas, rng.Fork(), TrialOptions{
-			Registry: opts.Telemetry, Parallelism: opts.Parallelism,
-		})
+		runner := NewTrialRunner(nc, attackers, meas, RunnerOptions{Registry: opts.Telemetry})
+		results, _, err := runner.RunAll(opts.TrialsPerConfig, rng.Fork(), TrialOptions{Parallelism: opts.Parallelism})
 		if err != nil {
 			return nil, err
 		}

@@ -85,9 +85,8 @@ func RunFig7(opts Fig7Options) (*Fig7Result, error) {
 			restricted,
 			&core.RandomAttacker{PPresent: 1 - nc.PAbsent()},
 		}
-		results, _, err := RunTrialsOpts(nc, attackers, opts.TrialsPerConfig, meas, rng.Fork(), TrialOptions{
-			Registry: opts.Telemetry, Parallelism: opts.Parallelism,
-		})
+		runner := NewTrialRunner(nc, attackers, meas, RunnerOptions{Registry: opts.Telemetry})
+		results, _, err := runner.RunAll(opts.TrialsPerConfig, rng.Fork(), TrialOptions{Parallelism: opts.Parallelism})
 		if err != nil {
 			return nil, err
 		}

@@ -3,44 +3,25 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"flowrecon/internal/stats"
 	"flowrecon/internal/telemetry"
 	"flowrecon/internal/trialrec"
+	"flowrecon/internal/workload"
 )
 
 // recordRun executes one recorded trial run at the given parallelism and
 // returns the raw recording bytes plus the aggregate results.
 func recordRun(t *testing.T, spec RecordingSpec, parallelism int) ([]byte, []AttackerResult) {
 	t.Helper()
-	nc, err := spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	attackers, err := StandardAttackers(nc, spec.Probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, len(attackers))
-	for i, a := range attackers {
-		names[i] = a.Name()
-	}
 	var buf bytes.Buffer
-	rec, err := trialrec.NewRecorder(&buf, trialrec.Header{
-		Seed: spec.TrialSeed, Trials: spec.Trials, Attackers: names,
-	})
+	results, _, err := RecordTo(&buf, spec, nil, parallelism)
 	if err != nil {
-		t.Fatal(err)
-	}
-	results, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Recorder: rec, Parallelism: parallelism})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), results
@@ -133,14 +114,14 @@ func TestParallelTrialsResultsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{})
+	serial, _, err := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{}).
+		RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	par, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, Parallelism: 4})
+	par, _, err := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Registry: reg}).
+		RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +157,8 @@ func TestPerTrialForcesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	_, records, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, PerTrial: true, Parallelism: 8})
+	_, records, err := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Registry: reg}).
+		RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{PerTrial: true, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +194,8 @@ func TestPerTrialRecordsCarryNoRingCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	_, records, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement,
-		stats.NewRNG(spec.TrialSeed), TrialOptions{Registry: reg, PerTrial: true})
+	_, records, err := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Registry: reg}).
+		RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{PerTrial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,5 +215,46 @@ func TestPerTrialRecordsCarryNoRingCopy(t *testing.T) {
 	}
 	if first, last := sizes[0], sizes[len(sizes)-1]; last > 2*first {
 		t.Fatalf("record size grew from %d B (trial 0) to %d B (trial %d)", first, last, len(sizes)-1)
+	}
+}
+
+// TestRunAllReportsTrialError: a trial that fails (here, its traffic
+// source) fails the whole run at every parallelism level, with the
+// trial's own error and no partial results.
+func TestRunAllReportsTrialError(t *testing.T) {
+	spec := RecordingSpec{
+		Params:      tinyParams(),
+		ConfigSeed:  11,
+		TrialSeed:   13,
+		Trials:      12,
+		Probes:      1,
+		Measurement: DefaultMeasurement(),
+	}
+	nc, err := spec.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	attackers, err := StandardAttackers(nc, spec.Probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errSource := errors.New("source failed")
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		failing := func(rates []float64, duration float64, rng *stats.RNG) (*workload.Trace, error) {
+			if calls.Add(1) > 5 {
+				return nil, errSource
+			}
+			return PoissonSource(rates, duration, rng)
+		}
+		runner := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{Source: failing})
+		results, _, err := runner.RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{Parallelism: workers})
+		if !errors.Is(err, errSource) || results != nil {
+			t.Fatalf("workers=%d: got results %v, err %v; want the source error alone", workers, results, err)
+		}
+	}
+	if _, _, err := NewTrialRunner(nc, attackers, spec.Measurement, RunnerOptions{}).
+		RunAll(-1, stats.NewRNG(spec.TrialSeed), TrialOptions{}); err == nil {
+		t.Fatal("a negative trial count ran")
 	}
 }

@@ -36,7 +36,7 @@ type RecordingSpec struct {
 	// Measurement is the timing classifier.
 	Measurement Measurement `json:"measurement"`
 	// Faults, when non-nil, is the fault-injection profile of the run
-	// (probe loss and delay jitter; see TrialOptions.Faults). It is part
+	// (probe loss and delay jitter; see RunnerOptions.Faults). It is part
 	// of the spec — and therefore the config hash — so a chaos run
 	// replays with its faults, fault for fault. Nil (omitted from the
 	// JSON) keeps fault-free specs, hashes and recordings byte-identical
@@ -126,22 +126,47 @@ func StandardAttackers(nc *NetworkConfig, probes int) ([]core.Attacker, error) {
 	}, nil
 }
 
-// RecordTo executes the spec and streams the recording to w (which is
-// not closed). reg optionally receives the run's telemetry. It returns
-// the per-attacker results alongside the regenerated configuration.
-func RecordTo(w io.Writer, spec RecordingSpec, reg *telemetry.Registry) ([]AttackerResult, *NetworkConfig, error) {
-	return RecordToParallel(w, spec, reg, 1)
+// Runner builds the trial runner for the spec on its regenerated
+// configuration: the spec's traffic source, its measurement and, when
+// set, its fault profile (overriding opts.Faults). Every path that runs a
+// spec — a recording, a replay, a flowrecond session — builds its runner
+// here, so the same spec always runs the same trials.
+func (s RecordingSpec) Runner(nc *NetworkConfig, attackers []core.Attacker, opts RunnerOptions) (*TrialRunner, error) {
+	source, err := s.Trace.Source()
+	if err != nil {
+		return nil, err
+	}
+	opts.Source = source
+	if s.Faults != nil {
+		opts.Faults = *s.Faults
+	}
+	return NewTrialRunner(nc, attackers, s.Measurement, opts), nil
 }
 
-// RecordToParallel is RecordTo on a worker pool. Recordings are assembled
-// in strict trial order whatever the parallelism, so the output bytes are
-// identical at every level — which the golden tests pin.
-func RecordToParallel(w io.Writer, spec RecordingSpec, reg *telemetry.Registry, parallelism int) ([]AttackerResult, *NetworkConfig, error) {
-	nc, err := spec.BuildConfig()
+// Header is the recording header of a run of the spec by the named
+// attackers: the spec itself (so Replay needs nothing but the file), the
+// trial seed and the trial count.
+func (s RecordingSpec) Header(attackers []string) (trialrec.Header, error) {
+	specJSON, err := json.Marshal(s)
 	if err != nil {
-		return nil, nil, err
+		return trialrec.Header{}, err
 	}
-	source, err := spec.Trace.Source()
+	return trialrec.Header{
+		Spec:      specJSON,
+		Seed:      s.TrialSeed,
+		Trials:    s.Trials,
+		Attackers: attackers,
+	}, nil
+}
+
+// RecordTo executes the spec on parallelism workers and streams the
+// recording to w (which is not closed). reg optionally receives the run's
+// telemetry. It returns the per-attacker results alongside the
+// regenerated configuration. Recordings are assembled in strict trial
+// order, so the output bytes are identical at every parallelism level —
+// which the golden tests pin.
+func RecordTo(w io.Writer, spec RecordingSpec, reg *telemetry.Registry, parallelism int) ([]AttackerResult, *NetworkConfig, error) {
+	nc, err := spec.BuildConfig()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,33 +174,19 @@ func RecordToParallel(w io.Writer, spec RecordingSpec, reg *telemetry.Registry, 
 	if err != nil {
 		return nil, nil, err
 	}
-	names := make([]string, len(attackers))
-	for i, a := range attackers {
-		names[i] = a.Name()
-	}
-	specJSON, err := json.Marshal(spec)
+	runner, err := spec.Runner(nc, attackers, RunnerOptions{Registry: reg})
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := trialrec.NewRecorder(struct{ io.Writer }{w}, trialrec.Header{
-		Spec:      specJSON,
-		Seed:      spec.TrialSeed,
-		Trials:    spec.Trials,
-		Attackers: names,
-	})
+	header, err := spec.Header(runner.Names())
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := TrialOptions{
-		Source:      source,
-		Registry:    reg,
-		Recorder:    rec,
-		Parallelism: parallelism,
+	rec, err := trialrec.NewRecorder(struct{ io.Writer }{w}, header)
+	if err != nil {
+		return nil, nil, err
 	}
-	if spec.Faults != nil {
-		opts.Faults = *spec.Faults
-	}
-	results, _, err := RunTrialsOpts(nc, attackers, spec.Trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), opts)
+	results, _, err := runner.RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{Recorder: rec, Parallelism: parallelism})
 	if err != nil {
 		rec.Close()
 		return nil, nil, err
@@ -210,7 +221,7 @@ func Replay(rec *trialrec.Recording) (*trialrec.Recording, []AttackerResult, err
 		return nil, nil, err
 	}
 	var buf bytes.Buffer
-	results, _, err := RecordTo(&buf, spec, nil)
+	results, _, err := RecordTo(&buf, spec, nil, 1)
 	if err != nil {
 		return nil, nil, err
 	}

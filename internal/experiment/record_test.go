@@ -27,11 +27,11 @@ func smallSpec() RecordingSpec {
 func TestRecordReplayDeterminism(t *testing.T) {
 	spec := smallSpec()
 	var a, b bytes.Buffer
-	resA, _, err := RecordTo(&a, spec, nil)
+	resA, _, err := RecordTo(&a, spec, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, _, err := RecordTo(&b, spec, nil)
+	resB, _, err := RecordTo(&b, spec, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRecordReplayDeterminism(t *testing.T) {
 func TestRecordingContents(t *testing.T) {
 	spec := smallSpec()
 	var buf bytes.Buffer
-	results, nc, err := RecordTo(&buf, spec, nil)
+	results, nc, err := RecordTo(&buf, spec, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +156,13 @@ func TestRecorderDoesNotPerturbOutcomes(t *testing.T) {
 		}
 		return as
 	}
-	plain, _, err := RunTrialsOpts(nc, mk(), spec.Trials, spec.Measurement, stats.NewRNG(spec.TrialSeed), TrialOptions{})
+	plain, _, err := NewTrialRunner(nc, mk(), spec.Measurement, RunnerOptions{}).
+		RunAll(spec.Trials, stats.NewRNG(spec.TrialSeed), TrialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	recorded, _, err := RecordTo(&buf, spec, nil)
+	recorded, _, err := RecordTo(&buf, spec, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

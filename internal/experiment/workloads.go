@@ -101,7 +101,8 @@ func RunWorkloadComparisonRows(p Params, seed int64, trials, probes, fprTrials i
 		if err != nil {
 			return nil, err
 		}
-		row.Results, _, err = RunTrialsOpts(nc, attackers, trials, DefaultMeasurement(), stats.NewRNG(seed+1), TrialOptions{Source: source})
+		runner := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{Source: source})
+		row.Results, _, err = runner.RunAll(trials, stats.NewRNG(seed+1), TrialOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: %w", row.Name, err)
 		}
@@ -137,7 +138,8 @@ func ParetoTailSweep(p Params, seed int64, trials, probes int, alphas []float64)
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := RunTrialsOpts(nc, attackers, trials, DefaultMeasurement(), stats.NewRNG(seed+1), TrialOptions{Source: ParetoSource(alpha)})
+		runner := NewTrialRunner(nc, attackers, DefaultMeasurement(), RunnerOptions{Source: ParetoSource(alpha)})
+		res, _, err := runner.RunAll(trials, stats.NewRNG(seed+1), TrialOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -161,15 +163,15 @@ func RunWorkloadsOnTrace(p Params, spec *TraceSourceSpec, seed int64, trials, pr
 	if err != nil {
 		return nil, nil, err
 	}
-	source, err := spec.Source()
-	if err != nil {
-		return nil, nil, err
-	}
 	attackers, err := StandardAttackers(nc, probes)
 	if err != nil {
 		return nil, nil, err
 	}
-	results, _, err := RunTrialsOpts(nc, attackers, trials, DefaultMeasurement(), stats.NewRNG(rspec.TrialSeed), TrialOptions{Source: source})
+	runner, err := rspec.Runner(nc, attackers, RunnerOptions{})
+	if err != nil {
+		return nil, nil, err
+	}
+	results, _, err := runner.RunAll(trials, stats.NewRNG(rspec.TrialSeed), TrialOptions{})
 	if err != nil {
 		return nil, nil, err
 	}

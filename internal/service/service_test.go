@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"flowrecon/internal/experiment"
 	"flowrecon/internal/faults"
+	"flowrecon/internal/trialrec"
 )
 
 // testParams keeps model builds test-sized (the benchmark scale used
@@ -333,4 +336,85 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
 		t.Fatalf("steady-state enqueue path allocates %.1f per cycle, want 0", allocs)
 	}
+}
+
+// TestSessionMatchesRecording pins the SessionSpec promise that a session
+// is exactly as reproducible as a recorded CLI run: for each spec, every
+// trial a Manager session delivers carries the same truth and the same
+// per-attacker probes, outcomes, loss masks and verdicts as the trial
+// experiment.RecordTo records for that spec.
+func TestSessionMatchesRecording(t *testing.T) {
+	omitted := testSpec("omitted", 23, 10, 2)
+	omitted.Target.Measurement = experiment.Measurement{} // what a spec without "measurement" decodes to
+	chaos := testSpec("chaos", 29, 10, 3)
+	chaos.Target.Faults = &faults.Profile{Seed: 7, LossProb: 0.25, JitterMeanMs: 1}
+	for _, tc := range []struct {
+		name string
+		spec SessionSpec
+	}{
+		{"default measurement", testSpec("default", 19, 10, 2)},
+		{"measurement omitted", omitted},
+		{"fault profile", chaos},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, _, err := experiment.RecordTo(&buf, tc.spec.Target, nil, 1); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := trialrec.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			m := NewManager(Config{MaxActive: 1, Workers: 2})
+			defer m.Shutdown()
+			sess, err := m.Open(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.CloseSession(sess)
+			hits := 0
+			for i := 0; ; i++ {
+				res, ok, err := sess.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					if i != len(rec.Trials) {
+						t.Fatalf("session delivered %d trials, recording holds %d", i, len(rec.Trials))
+					}
+					break
+				}
+				want := rec.Trials[i]
+				if res.Truth != want.Truth || len(res.Attackers) != len(want.Attackers) {
+					t.Fatalf("trial %d: session truth=%v with %d attackers, recording truth=%v with %d",
+						i, res.Truth, len(res.Attackers), want.Truth, len(want.Attackers))
+				}
+				for j, got := range res.Attackers {
+					w := want.Attackers[j]
+					w.Belief = nil // recordings carry the belief trajectory, sessions do not
+					if g, r := attackerJSON(t, got), attackerJSON(t, w); g != r {
+						t.Fatalf("trial %d attacker %s:\n session   %s\n recording %s", i, got.Name, g, r)
+					}
+					for _, o := range got.Outcomes {
+						if o {
+							hits++
+						}
+					}
+				}
+			}
+			if hits == 0 {
+				t.Fatal("no probe read as a hit; the classifier is not the paper's")
+			}
+		})
+	}
+}
+
+func attackerJSON(t *testing.T, a trialrec.AttackerTrial) string {
+	t.Helper()
+	b, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

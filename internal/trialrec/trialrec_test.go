@@ -3,6 +3,8 @@ package trialrec
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -175,4 +177,44 @@ func TestHashSpec(t *testing.T) {
 	if len(HashSpec([]byte("a"))) != 64 {
 		t.Fatal("expected hex sha256")
 	}
+}
+
+// FuzzTrialrecRead feeds the recording reader the user-supplied files
+// `inspect -diff` and `inspect -replay` parse. Read must never panic, and
+// every recording it accepts must parse the same way twice: Diff of the
+// two parses finds no divergence. The corpus is seeded with the golden
+// recordings plus truncated and garbled variants of them.
+func FuzzTrialrecRead(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("..", "experiment", "testdata", "golden_*.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(goldens) != 4 {
+		f.Fatalf("found %d golden recordings, want 4", len(goldens))
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])                                              // cut mid-line
+		f.Add(data[:bytes.IndexByte(data, '\n')+1])                            // header only
+		f.Add(bytes.Replace(data, []byte(`"truth":`), []byte(`"truth":{`), 1)) // garbled trial line
+		f.Add(bytes.Replace(data, []byte(`"format":1`), []byte(`"format":"1"`), 1))
+	}
+	f.Add([]byte(`{"format":1}` + "\n\n" + `{"trial":0,"attackers":[{"name":"a","probes":[1,2],"outcomes":[true],"lost":[false,true,true]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("second parse of an accepted recording failed: %v", err)
+		}
+		if ds := Diff(rec, again); len(ds) > 0 {
+			t.Fatalf("accepted recording diverges from itself: %s (+%d more)", ds[0], len(ds)-1)
+		}
+	})
 }
